@@ -4,7 +4,7 @@ machine-checkable non-existence certificates."""
 
 __version__ = "0.1.0"
 
-from .exact_arith import Rational, binom_int, binom_poly
+from .exact_arith import binom_int, binom_poly
 from .polyring import DimensionMismatch, MultiPoly, NotDivisible
 from .symfunc import (
     Partition,
@@ -15,7 +15,6 @@ from .symfunc import (
 )
 
 __all__ = [
-    "Rational",
     "binom_int",
     "binom_poly",
     "MultiPoly",

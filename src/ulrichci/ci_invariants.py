@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
+from . import __version__
 from .exact_arith import binom_int
 from .ulrich_functions import q_value
-
-TOOL_VERSION = "0.1.0"
 
 NON_EXISTENCE = "NON_EXISTENCE"
 EXCLUDED = "EXCLUDED"
@@ -148,6 +147,13 @@ def deg_Z_chern(cfg: CIConfig) -> Fraction:
     )
 
 
+def _as_int(value: Fraction) -> int:
+    # An explicit raise, not an assert, so the check also runs under python -O.
+    if value.denominator != 1:
+        raise ArithmeticError(f"expected an integer Euler characteristic, got {value}")
+    return int(value)
+
+
 def chi_E(cfg: CIConfig, m: int) -> int:
     """chi(E(m)) = r d binom(m+n, n); vanishes for m = -1..-n (Ulrich condition)."""
     value = cfg.r * cfg.d * binom_int(m + cfg.n, cfg.n)
@@ -162,8 +168,7 @@ def chi_OX(cfg: CIConfig, m: int) -> int:
         sign = -1 if k % 2 else 1
         for J in combinations(cfg.degrees, k):
             total += sign * binom_int(m - sum(J) + N, N)
-    assert total.denominator == 1
-    return int(total)
+    return _as_int(total)
 
 
 def chi_OZ(cfg: CIConfig, m: int) -> int:
@@ -185,8 +190,7 @@ def chi_OZ(cfg: CIConfig, m: int) -> int:
             total += sign * (
                 binom_int(t - m - 1, N) + (r - 1) * binom_int(t + u - m - 1, N)
             )
-    assert total.denominator == 1
-    return int(total)
+    return _as_int(total)
 
 
 def c2_E_coeff(cfg: CIConfig) -> tuple[Fraction, bool]:
@@ -283,7 +287,7 @@ class Certificate:
     reason: str
     witnesses: dict
     hypotheses: list[str]
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
 
     def to_dict(self) -> dict:
         return {
@@ -446,8 +450,7 @@ def hypersurface_hilb(n: int, d: int, m: int) -> int:
         - (2 * d - 1) * binom_int(m - d + n + 1, n)
         - binom_int(m - 2 * d + n + 2, n + 1)
     )
-    assert value.denominator == 1
-    return int(value)
+    return _as_int(value)
 
 
 def hypersurface_hilbert_function(n: int, d: int, m: int) -> int:

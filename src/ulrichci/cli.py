@@ -81,12 +81,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _default_workers() -> int:
     env = os.environ.get("ULRICHCI_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = None
+    if workers is None or workers < 1:
+        raise ValueError(f"ULRICHCI_WORKERS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _emit(doc: dict, text: str, args) -> None:
@@ -401,10 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except ValueError as exc:  # bad range syntax inside type converters
+    try:  # building the parser reads ULRICHCI_WORKERS, which may be invalid
+        args = _build_parser().parse_args(argv)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -19,8 +19,6 @@ from math import factorial
 
 from .polyring import MultiPoly
 
-Rational = Fraction
-
 
 def binom_int(ell: int, m: int) -> Fraction:
     """Generalized binomial l over m for any integer l and m >= 0.

@@ -123,6 +123,24 @@ def test_chi_OX_structure_sheaf():
         assert chi_OX(CIConfig(5, degs, 2), 0) == 1
 
 
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: chi_OX(QUADRIC, 0),
+        lambda: chi_OZ(QUADRIC, 0),
+        lambda: hypersurface_hilb(4, 2, 0),
+    ],
+    ids=["chi_OX", "chi_OZ", "hypersurface_hilb"],
+)
+def test_integrality_check_raises(monkeypatch, compute):
+    # An explicit raise, so the check survives python -O.
+    import ulrichci.ci_invariants as ci
+
+    monkeypatch.setattr(ci, "binom_int", lambda ell, m: Fraction(ell, 7))
+    with pytest.raises(ArithmeticError):
+        compute()
+
+
 def test_chi_E_examples():
     for p in range(1, 5):
         assert chi_E(QUADRIC, -p) == 0

@@ -198,6 +198,15 @@ def test_workers_env_var_sets_default(monkeypatch, capsys):
     assert args.workers == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_invalid_workers_env_var_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("ULRICHCI_WORKERS", value)
+    assert main(["scan", "--s-max", "2", "--d-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ULRICHCI_WORKERS must be a positive integer")
+
+
 def test_verify_all_default_budget(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "all")
     assert code == 0

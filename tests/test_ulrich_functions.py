@@ -1,8 +1,9 @@
 """Tests for the Euler-polynomial builders and the identity verifiers.
 
-The builders use a compressed orbit-sum construction; the reference
-implementations here compose the defining binomial sums directly through
-binom_poly, term by term, so the two paths are fully independent.
+The builders read chi(O_X(m)) off the Hirzebruch-Riemann-Roch series in the
+power sums; the reference implementations here compose the defining
+inclusion-exclusion binomial sums directly through binom_poly, term by term,
+so the two paths are fully independent.
 """
 
 from fractions import Fraction
@@ -71,13 +72,13 @@ def reference_f(s, r, m):
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
-@pytest.mark.parametrize("r,m", SUPPORTED_PAIRS)
+@pytest.mark.parametrize("r,m", SUPPORTED_PAIRS + ((2, 3), (4, 1), (3, -2)))
 def test_builder_matches_reference(s, r, m):
     assert build_f(s, r, m) == reference_f(s, r, m)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-@pytest.mark.parametrize("m", [0, 1, 4])
+@pytest.mark.parametrize("m", [0, 1, 4, -2])
 def test_a_builder_matches_reference(s, m):
     assert build_a(s, m) == reference_a(s, m)
 
@@ -123,6 +124,22 @@ def test_f_quadric_euler_characteristic():
 def test_f_symmetry_divisibility_restriction(s, r, m):
     assert all(res.ok for res in verify_tf0(s, r, m))
     assert all(res.ok for res in verify_tf1(s, r, m))
+
+
+def test_tf1_fails_only_on_non_divisibility(monkeypatch):
+    import ulrichci.ulrich_functions as uf
+
+    monkeypatch.setattr(uf, "build_f", lambda s, r, m: MultiPoly.const(s, 1))
+    [result] = verify_tf1(2, 2, 0)
+    assert not result.ok
+    assert "not divisible" in result.witness["error"]
+
+    def broken(s, r, m):
+        raise RuntimeError("builder bug")
+
+    monkeypatch.setattr(uf, "build_f", broken)
+    with pytest.raises(RuntimeError, match="builder bug"):
+        verify_tf1(2, 2, 0)
 
 
 # -- derived builders -------------------------------------------------------------------
