@@ -32,6 +32,13 @@ class NotDivisible(ValueError):
 _TERM_RE = re.compile(r"^x(\d+)\^(\d+)$")
 
 
+def _exact(value) -> Fraction:
+    """Fraction(value), refusing floats, which would enter as binary fractions."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; pass an int or a Fraction")
+    return Fraction(value)
+
+
 class MultiPoly:
     """Immutable sparse polynomial in x1..xs with Fraction coefficients."""
 
@@ -51,7 +58,7 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     clean[tuple(exps)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -76,7 +83,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -164,7 +171,7 @@ class MultiPoly:
         return (-self) + other
 
     def scale(self, value) -> "MultiPoly":
-        c = Fraction(value)
+        c = _exact(value)
         if not c:
             return MultiPoly.zero(self.nvars)
         return MultiPoly._from_trusted(
@@ -193,7 +200,7 @@ class MultiPoly:
         return NotImplemented
 
     def __truediv__(self, other) -> "MultiPoly":
-        return self.scale(Fraction(1, 1) / Fraction(other))
+        return self.scale(1 / _exact(other))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -207,7 +214,7 @@ class MultiPoly:
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a point of ints/Fractions (one value per variable)."""
-        values = [Fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         if len(values) != self.nvars:
             raise DimensionMismatch(
                 f"point has length {len(values)}, expected {self.nvars}"

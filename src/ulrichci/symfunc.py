@@ -235,10 +235,10 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
     """Expand by restricting to four variables and solving triangularly.
 
     Substitutes x5 = ... = xs = 1, expands the four-variable restriction
-    directly, and inverts the restriction map layer by layer (for instance
-    a6 = b6 - (s-4) a2).  For s = 4 there is nothing to substitute and this
-    is expand_direct.  Independent of expand_direct on the input itself,
-    which makes the two algorithms an oracle pair.
+    directly, and inverts the restriction map by forward substitution.  For
+    s = 4 there is nothing to substitute and this is expand_direct.
+    Independent of expand_direct on the input itself, which makes the two
+    algorithms an oracle pair.
     """
     s = G.nvars
     if s < 4:
@@ -247,25 +247,11 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
         return expand_direct(G)
     _require_expandable(G)
     b = expand_direct(G.substitute_ones(4)).coeffs
-    t = s - 4
-    c2 = binom_int(t, 2)
-    c3 = binom_int(t, 3)
-    c4 = binom_int(t, 4)
+    # The restriction map is unit lower triangular in basis order, so with
+    # a[i:] still zero its i-th output is the part of b[i] due to a[:i].
     a = [Fraction(0)] * 12
-    a[0], a[1], a[2], a[3], a[4] = b[0], b[1], b[2], b[3], b[4]
-    a[5] = b[5] - t * a[1]
-    a[6] = b[6] - t * a[3]
-    a[7] = b[7] - t * a[4]
-    a[8] = b[8] - t * (a[2] + a[6]) - c2 * a[3]
-    a[9] = b[9] - t * (a[3] + a[7]) - c2 * a[4]
-    a[10] = b[10] - t * (a[1] + a[6] + a[9]) - c2 * (2 * a[3] + a[7]) - c3 * a[4]
-    a[11] = (
-        b[11]
-        - t * (a[0] + a[5] + a[8] + a[10])
-        - c2 * (2 * a[1] + a[2] + 2 * a[6] + a[9])
-        - c3 * (3 * a[3] + a[7])
-        - c4 * a[4]
-    )
+    for i in range(12):
+        a[i] = b[i] - restriction_coefficients(a, s)[i]
     expansion = SymExpansion(s, tuple(a))
     if expansion.reconstruct() != G:
         raise ValueError(

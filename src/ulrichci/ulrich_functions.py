@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .exact_arith import binom_poly
 from .polyring import MultiPoly, NotDivisible
@@ -496,9 +497,9 @@ class ScanCell:
 
     b: int
     s: int
-    tuples_checked: int
-    min_q: int | None
-    min_tuple: tuple[int, ...] | None
+    tuples_checked: int = 0
+    min_q: int | None = None
+    min_tuple: tuple[int, ...] | None = None
     violations: list = field(default_factory=list)
     per_tuple: list | None = None
 
@@ -550,23 +551,27 @@ class ScanReport:
         }
 
 
+def _lead_tuples(s: int, lead: int):
+    """Weakly decreasing s-tuples with first entry lead (q is symmetric)."""
+    for rest in combinations_with_replacement(range(lead, 0, -1), s - 1):
+        yield (lead, *rest)
+
+
 def _iter_degree_tuples(s: int, d_max: int):
-    # Weakly decreasing tuples only (q is symmetric); skip the all-ones tuple,
-    # the single point with product < 2, where q vanishes.
-    ones = (1,) * s
-    for tup in combinations_with_replacement(range(d_max, 0, -1), s):
-        if tup != ones:
-            yield tup
+    # Lead 1 holds only the all-ones tuple, the single point with product < 2,
+    # where q vanishes, so it is skipped.
+    for lead in range(d_max, 1, -1):
+        yield from _lead_tuples(s, lead)
 
 
-def _scan_chunk(args) -> tuple[int, int | None, tuple | None, list, list | None]:
-    b, chunk, keep_values = args
+def _scan_slice(task) -> tuple[int, int, tuple, list, list | None]:
+    b, s, lead, keep_values = task
     count = 0
     min_q = None
     min_tuple = None
     violations = []
     values = [] if keep_values else None
-    for tup in chunk:
+    for tup in _lead_tuples(s, lead):
         q = q_value(tup, b)
         count += 1
         if min_q is None or q < min_q:
@@ -588,52 +593,43 @@ def verify_cg_scan(
     """Exhaustive positivity scan of q_{s,b} over bounded degree tuples.
 
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
-    at least 2, for s = 2..s_max, and requires q > 0 at every point.  The
-    tuple ranges are distributed across worker processes; results are folded
-    in enumeration order so the report is identical for any worker count.
+    at least 2, for s = 2..s_max, and requires q > 0 at every point.  One
+    task is the slice of a (b, s) cell with one leading entry; each task
+    generates its own tuples, and with several workers all tasks go through
+    one process pool.  Results are folded in task order, so the report is
+    identical for any worker count.  Per-tuple values are kept only for cells
+    of at most 1000 tuples.
     """
     if s_max < 2 or d_max < 2:
         raise ValueError("scan needs s_max >= 2 and d_max >= 2")
-    cells = []
-    for b in b_values:
-        for s in range(2, s_max + 1):
-            tuples = list(_iter_degree_tuples(s, d_max))
-            keep = per_tuple and len(tuples) <= 1000
-            if workers > 1 and len(tuples) >= 64:
-                chunk_size = max(1, len(tuples) // (workers * 4))
-                chunks = [
-                    tuples[i : i + chunk_size]
-                    for i in range(0, len(tuples), chunk_size)
-                ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    partials = list(
-                        pool.map(_scan_chunk, [(b, ch, keep) for ch in chunks])
-                    )
-            else:
-                partials = [_scan_chunk((b, tuples, keep))]
-            count = 0
-            min_q = None
-            min_tuple = None
-            violations: list = []
-            values: list | None = [] if keep else None
-            for pcount, pmin, ptuple, pviol, pvals in partials:
-                count += pcount
-                if pmin is not None and (min_q is None or pmin < min_q):
-                    min_q, min_tuple = pmin, ptuple
-                violations.extend(pviol)
-                if keep:
-                    values.extend(pvals)
-            cells.append(
-                ScanCell(
-                    b=b,
-                    s=s,
-                    tuples_checked=count,
-                    min_q=min_q,
-                    min_tuple=min_tuple,
-                    violations=violations,
-                    per_tuple=values,
-                )
-            )
+    cells = [
+        ScanCell(
+            b=b,
+            s=s,
+            per_tuple=[] if per_tuple and comb(s + d_max - 1, s) - 1 <= 1000 else None,
+        )
+        for b in b_values
+        for s in range(2, s_max + 1)
+    ]
+    tasks = [
+        (cell.b, cell.s, lead, cell.per_tuple is not None)
+        for cell in cells
+        for lead in range(d_max, 1, -1)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_scan_slice, tasks))
+    else:
+        partials = list(map(_scan_slice, tasks))
+    # Every cell has d_max - 1 consecutive tasks, none of them empty.
+    for i, (count, min_q, min_tuple, violations, values) in enumerate(partials):
+        cell = cells[i // (d_max - 1)]
+        cell.tuples_checked += count
+        if cell.min_q is None or min_q < cell.min_q:
+            cell.min_q, cell.min_tuple = min_q, min_tuple
+        cell.violations.extend(violations)
+        if values is not None:
+            cell.per_tuple.extend(values)
     return ScanReport(s_max=s_max, d_max=d_max, b_values=tuple(b_values), cells=cells)
 
 

@@ -1,8 +1,12 @@
 """Tests for complete-intersection invariants and the certifier."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,33 @@ def test_integrality_check_raises(monkeypatch, compute):
     monkeypatch.setattr(ci, "binom_int", lambda ell, m: Fraction(ell, 7))
     with pytest.raises(ArithmeticError):
         compute()
+
+
+def test_integrality_check_raises_under_python_O():
+    # python -O strips assert statements; the checks above must not be asserts.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            "-p",
+            "no:hypothesispytest",
+            f"{__file__}::test_integrality_check_raises",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 passed" in proc.stdout
 
 
 def test_chi_E_examples():

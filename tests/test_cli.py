@@ -48,6 +48,18 @@ def test_verify_range_below_suite_minimum(capsys):
     assert code == 2
 
 
+def test_verify_all_clips_range_to_each_suite_minimum(capsys):
+    code, doc = run_json(capsys, "verify", "--s", "1..5")
+    assert code == 0
+    s_seen = {}
+    for r in doc["results"]:
+        family = r["lemma"].split("(")[0].split("/")[0]
+        s_seen.setdefault(family, set()).add(r["parameters"]["s"])
+    assert s_seen["tf2-bis"] == {5}
+    assert s_seen["gl1"] == s_seen["gl4"] == {4, 5}
+    assert s_seen["tf0"] == s_seen["gl2"] == {1, 2, 3, 4, 5}
+
+
 def test_verify_text_summary(capsys):
     code, out = run(capsys, "verify", "--suite", "tf2", "--s", "4")
     assert code == 0

@@ -49,6 +49,23 @@ def test_max_vars_enforced():
         MultiPoly.zero(13)
 
 
+@pytest.mark.parametrize(
+    "enter",
+    [
+        lambda: MultiPoly(2, {(1, 0): 0.1}),
+        lambda: x(0).scale(0.5),
+        lambda: x(0).eval([0.1, 1]),
+        lambda: MultiPoly.const(2, 0.5),
+        lambda: x(0) / 0.5,
+    ],
+    ids=["init", "scale", "eval", "const", "truediv"],
+)
+def test_float_rejected(enter):
+    # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        enter()
+
+
 def test_equality_is_term_map_equality():
     p = x(0) + x(1)
     q = MultiPoly(2, {(1, 0): 1, (0, 1): 1})

@@ -7,15 +7,17 @@ so the two paths are fully independent.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from ulrichci import ulrich_functions
 from ulrichci.exact_arith import binom_int, binom_poly
 from ulrichci.polyring import MultiPoly, NotDivisible
 from ulrichci.symfunc import expand_direct, monomial_sym
 from ulrichci.ulrich_functions import (
     SUPPORTED_PAIRS,
+    _iter_degree_tuples,
     build_a,
     build_c,
     build_chi_prime,
@@ -263,9 +265,45 @@ def test_scan_small_grid():
 
 
 def test_scan_workers_do_not_change_report():
-    seq = verify_cg_scan(5, 5, workers=1)
-    par = verify_cg_scan(5, 5, workers=2)
-    assert seq.to_dict() == par.to_dict()
+    grids = [
+        {"s_max": 5, "d_max": 5},
+        {"s_max": 5, "d_max": 6, "b_values": (0, 8)},
+        {"s_max": 4, "d_max": 5, "b_values": (0, 9), "per_tuple": True},
+    ]
+    serial = [verify_cg_scan(**grid, workers=1) for grid in grids]
+    for grid, seq in zip(grids, serial):
+        for workers in (2, 3):
+            par = verify_cg_scan(**grid, workers=workers)
+            assert seq.to_dict() == par.to_dict(), (grid, workers)
+    assert not serial[1].ok
+    assert all(cell.per_tuple for cell in serial[2].cells)
+
+
+def test_scan_uses_one_pool(monkeypatch):
+    entered = []
+
+    class CountingPool(ulrich_functions.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(ulrich_functions, "ProcessPoolExecutor", CountingPool)
+    report = verify_cg_scan(4, 5, workers=2)
+    assert len(report.cells) == 6
+    assert len(entered) == 1
+    verify_cg_scan(4, 5, workers=1)
+    assert len(entered) == 1
+
+
+def test_iter_degree_tuples_order():
+    for s in (1, 2, 3, 5):
+        for d_max in (1, 2, 4):
+            expected = [
+                tup
+                for tup in combinations_with_replacement(range(d_max, 0, -1), s)
+                if tup != (1,) * s
+            ]
+            assert list(_iter_degree_tuples(s, d_max)) == expected, (s, d_max)
 
 
 def test_scan_per_tuple_listing():
