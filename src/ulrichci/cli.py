@@ -88,26 +88,43 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a worker count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _default_workers() -> int:
     env = os.environ.get("ULRICHCI_WORKERS")
     if not env:
         return 1
     try:
-        workers = int(env)
-    except ValueError:
-        workers = None
-    if workers is None or workers < 1:
-        raise ValueError(f"ULRICHCI_WORKERS must be a positive integer, got {env!r}")
-    return workers
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ULRICHCI_WORKERS {exc}") from None
 
 
 def _emit(doc: dict, text: str, args) -> None:
     payload = json.dumps(doc, indent=2) if args.format == "json" else text
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(payload + "\n")
-    else:
+    if not args.output:
         print(payload)
+        return
+    # Write a sibling file and rename it over the target, so a failed write
+    # never leaves a partial output file.
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(payload + "\n")
+        os.replace(tmp, args.output)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _base_doc(command: str, parameters: dict) -> dict:
@@ -154,6 +171,8 @@ def _scan_checks(report: ScanReport) -> list[CheckResult]:
             witness["violations"] = [
                 {"degrees": list(t), "q": q} for t, q in cell.violations
             ]
+        if cell.violations_omitted:
+            witness["violations_omitted"] = cell.violations_omitted
         checks.append(
             CheckResult(
                 lemma="cg/scan",
@@ -305,7 +324,11 @@ def _cmd_scan(args) -> int:
         lines.append(
             f"b={cell.b} s={cell.s}: {cell.tuples_checked} tuples, "
             f"min q = {cell.min_q} at {cell.min_tuple}"
-            + (f", {len(cell.violations)} VIOLATIONS" if cell.violations else "")
+            + (
+                f", {len(cell.violations) + cell.violations_omitted} VIOLATIONS"
+                if cell.violations
+                else ""
+            )
         )
         if cell.per_tuple is not None:
             for tup, q in cell.per_tuple:
@@ -352,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=25, help="random polynomials per s (tf2bis)"
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=_default_workers())
+    p_verify.add_argument("--workers", type=_positive_int, default=_default_workers())
     p_verify.set_defaults(func=_cmd_verify)
 
     p_inv = sub.add_parser(
@@ -380,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--s-max", type=int, required=True)
     p_scan.add_argument("--d-max", type=int, required=True)
     p_scan.add_argument("--b", default="8,9", help='comma separated, e.g. "8,9"')
-    p_scan.add_argument("--workers", type=int, default=_default_workers())
+    p_scan.add_argument("--workers", type=_positive_int, default=_default_workers())
     p_scan.add_argument(
         "--list-tuples",
         action="store_true",

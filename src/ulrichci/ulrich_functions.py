@@ -482,13 +482,21 @@ def verify_gl4(s: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def q_value(degrees: tuple[int, ...], b: int) -> int:
-    """Exact integer value of q_{s,b} at a degree tuple (fast numeric path)."""
-    s = len(degrees)
-    m2 = sum(d * d for d in degrees)
-    m4 = sum(d**4 for d in degrees)
+def _q_from_power_sums(s: int, b: int, m2: int, m4: int) -> int:
+    """q_{s,b} from s and the power sums m2 = sum d_i^2, m4 = sum d_i^4."""
     m22 = (m2 * m2 - m4) // 2
     return b * m4 + 10 * m22 - 10 * s * m2 + s * (5 * s - b + 5)
+
+
+def q_value(degrees: tuple[int, ...], b: int) -> int:
+    """Exact integer value of q_{s,b} at a degree tuple (fast numeric path)."""
+    return _q_from_power_sums(
+        len(degrees), b, sum(d * d for d in degrees), sum(d**4 for d in degrees)
+    )
+
+
+#: Longest violation or per-tuple list a scan cell keeps.
+_LIST_CAP = 1000
 
 
 @dataclass
@@ -501,6 +509,7 @@ class ScanCell:
     min_q: int | None = None
     min_tuple: tuple[int, ...] | None = None
     violations: list = field(default_factory=list)
+    violations_omitted: int = 0
     per_tuple: list | None = None
 
     @property
@@ -518,6 +527,8 @@ class ScanCell:
                 {"degrees": list(t), "q": q} for t, q in self.violations
             ],
         }
+        if self.violations_omitted:
+            doc["violations_omitted"] = self.violations_omitted
         if self.per_tuple is not None:
             doc["per_tuple"] = [{"degrees": list(t), "q": q} for t, q in self.per_tuple]
         return doc
@@ -551,36 +562,65 @@ class ScanReport:
         }
 
 
-def _lead_tuples(s: int, lead: int):
-    """Weakly decreasing s-tuples with first entry lead (q is symmetric)."""
-    for rest in combinations_with_replacement(range(lead, 0, -1), s - 1):
-        yield (lead, *rest)
-
-
 def _iter_degree_tuples(s: int, d_max: int):
-    # Lead 1 holds only the all-ones tuple, the single point with product < 2,
-    # where q vanishes, so it is skipped.
+    """Weakly decreasing s-tuples in 1..d_max, leading entry first (q is symmetric).
+
+    Lead 1 holds only the all-ones tuple, the single point with product < 2,
+    where q vanishes, so it is skipped.
+    """
     for lead in range(d_max, 1, -1):
-        yield from _lead_tuples(s, lead)
+        for rest in combinations_with_replacement(range(lead, 0, -1), s - 1):
+            yield (lead, *rest)
 
 
-def _scan_slice(task) -> tuple[int, int, tuple, list, list | None]:
+def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
+    """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead.
+
+    The tuples come in _iter_degree_tuples order.  t holds all entries of the
+    current tuple but the last, which the inner loop runs from t[-1] down to
+    1; with the prefix power sums p2[i] = sum(t[:i]^2) and p4[i] = sum(t[:i]^4)
+    each q costs O(1), and a tuple object is built only when it is kept.
+    """
     b, s, lead, keep_values = task
+    t = [lead] * (s - 1)
+    p2 = [0] * s
+    p4 = [0] * s
+    i = 0  # p2 and p4 are stale after position i
+    squares = [d * d for d in range(lead + 1)]
+    fourths = [d * d for d in squares]
     count = 0
     min_q = None
     min_tuple = None
     violations = []
+    omitted = 0
     values = [] if keep_values else None
-    for tup in _lead_tuples(s, lead):
-        q = q_value(tup, b)
-        count += 1
-        if min_q is None or q < min_q:
-            min_q, min_tuple = q, tup
-        if q <= 0:
-            violations.append((tup, q))
-        if keep_values:
-            values.append((tup, q))
-    return count, min_q, min_tuple, violations, values
+    while True:
+        for j in range(i, s - 1):
+            p2[j + 1] = p2[j] + squares[t[j]]
+            p4[j + 1] = p4[j] + fourths[t[j]]
+        m2, m4 = p2[s - 1], p4[s - 1]
+        top = t[-1]
+        for d in range(top, 0, -1):
+            q = _q_from_power_sums(s, b, m2 + squares[d], m4 + fourths[d])
+            if min_q is None or q < min_q:
+                min_q, min_tuple = q, (*t, d)
+            if q <= 0:
+                if len(violations) < _LIST_CAP:
+                    violations.append(((*t, d), q))
+                else:
+                    omitted += 1
+            if keep_values:
+                values.append(((*t, d), q))
+        count += top
+        # Advance: the rightmost entry after the lead that can still drop
+        # drops by one, and every entry after it takes its new value.
+        i = s - 2
+        while i > 0 and t[i] == 1:
+            i -= 1
+        if i == 0:
+            break
+        t[i:] = [t[i] - 1] * (s - 1 - i)
+    return count, min_q, min_tuple, violations, omitted, values
 
 
 def verify_cg_scan(
@@ -594,19 +634,23 @@ def verify_cg_scan(
 
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
     at least 2, for s = 2..s_max, and requires q > 0 at every point.  One
-    task is the slice of a (b, s) cell with one leading entry; each task
-    generates its own tuples, and with several workers all tasks go through
-    one process pool.  Results are folded in task order, so the report is
-    identical for any worker count.  Per-tuple values are kept only for cells
-    of at most 1000 tuples.
+    task is the slice of a (b, s) cell with one leading entry; it walks its
+    tuples in order while keeping running power sums, so each q costs O(1).
+    With several workers all tasks go through one process pool.
+    Results are folded in task order, so the report is identical for any
+    worker count.  A cell keeps its first 1000 violations in scan order and
+    counts the rest in violations_omitted; per-tuple values are kept only for
+    cells of at most 1000 tuples, i.e. C(s+d_max-1, s) - 1 <= 1000.
     """
     if s_max < 2 or d_max < 2:
         raise ValueError("scan needs s_max >= 2 and d_max >= 2")
+    if not b_values:
+        raise ValueError("scan needs at least one b value")
     cells = [
         ScanCell(
             b=b,
             s=s,
-            per_tuple=[] if per_tuple and comb(s + d_max - 1, s) - 1 <= 1000 else None,
+            per_tuple=[] if per_tuple and comb(s + d_max - 1, s) - 1 <= _LIST_CAP else None,
         )
         for b in b_values
         for s in range(2, s_max + 1)
@@ -622,12 +666,14 @@ def verify_cg_scan(
     else:
         partials = list(map(_scan_slice, tasks))
     # Every cell has d_max - 1 consecutive tasks, none of them empty.
-    for i, (count, min_q, min_tuple, violations, values) in enumerate(partials):
+    for i, (count, min_q, min_tuple, violations, omitted, values) in enumerate(partials):
         cell = cells[i // (d_max - 1)]
         cell.tuples_checked += count
         if cell.min_q is None or min_q < cell.min_q:
             cell.min_q, cell.min_tuple = min_q, min_tuple
-        cell.violations.extend(violations)
+        room = _LIST_CAP - len(cell.violations)
+        cell.violations.extend(violations[:room])
+        cell.violations_omitted += omitted + max(len(violations) - room, 0)
         if values is not None:
             cell.per_tuple.extend(values)
     return ScanReport(s_max=s_max, d_max=d_max, b_values=tuple(b_values), cells=cells)

@@ -1,10 +1,14 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import builtins
 import json
+import os
 
 import pytest
 
-from ulrichci.cli import main
+from ulrichci import cli
+from ulrichci.cli import _scan_checks, main
+from ulrichci.ulrich_functions import verify_cg_scan
 
 
 def run(capsys, *argv):
@@ -167,6 +171,24 @@ def test_scan_usage_error(capsys):
     assert main(["scan", "--s-max", "1", "--d-max", "4"]) == 2
 
 
+def test_scan_empty_b_exits_2(capsys):
+    assert main(["scan", "--s-max", "3", "--d-max", "2", "--b", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan needs at least one b value\n"
+
+
+def test_scan_reports_omitted_violations(capsys):
+    code, out = run(capsys, "scan", "--s-max", "6", "--d-max", "10", "--b", "-1000")
+    assert code == 1
+    line = next(row for row in out.splitlines() if row.startswith("b=-1000 s=6:"))
+    assert line.startswith("b=-1000 s=6: 5004 tuples")
+    assert line.endswith(", 5004 VIOLATIONS")
+    witness = _scan_checks(verify_cg_scan(6, 10, b_values=(-1000,)))[-1].witness
+    assert len(witness["violations"]) == 1000
+    assert witness["violations_omitted"] == 4004
+
+
 # -- output handling ------------------------------------------------------------------
 
 
@@ -190,6 +212,43 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["verdict"] == "NON_EXISTENCE"
+
+
+class _HalfWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+def _fail_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_output_keeps_existing_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "cert.json"
+    path.write_text("old\n")
+    if failure == "write":
+        half_open = lambda file, mode="r": _HalfWriter(builtins.open(file, mode))
+        monkeypatch.setattr(cli, "open", half_open, raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "replace", _fail_replace)
+    argv = ["certify", "--n", "5", "--degrees", "2", "--r", "2", "--output", str(path)]
+    with pytest.raises(OSError):
+        main(argv)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["cert.json"]
 
 
 def test_usage_error_unknown_suite():
@@ -217,6 +276,24 @@ def test_invalid_workers_env_var_exits_2(monkeypatch, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ULRICHCI_WORKERS must be a positive integer")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan", "--s-max", "2", "--d-max", "2"], ["verify", "--suite", "cg"]],
+    ids=["scan", "verify"],
+)
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_invalid_workers_flag_exits_2(capsys, command, value):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--workers", value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"error: argument --workers: must be a positive integer, got '{value}'"
+        in captured.err
+    )
 
 
 def test_verify_all_default_budget(capsys):

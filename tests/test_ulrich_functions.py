@@ -7,7 +7,8 @@ so the two paths are fully independent.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
+from math import comb
 
 import pytest
 
@@ -18,6 +19,8 @@ from ulrichci.symfunc import expand_direct, monomial_sym
 from ulrichci.ulrich_functions import (
     SUPPORTED_PAIRS,
     _iter_degree_tuples,
+    _q_from_power_sums,
+    _scan_slice,
     build_a,
     build_c,
     build_chi_prime,
@@ -199,6 +202,9 @@ def test_q_value_matches_polynomial():
             poly = build_q(s, b)
             for tup in [(2,) * s, (3, 1) + (1,) * (s - 2), (4, 3) + (2,) * (s - 2)]:
                 assert q_value(tup, b) == poly.eval(tup)
+                m2 = sum(d * d for d in tup)
+                m4 = sum(d**4 for d in tup)
+                assert _q_from_power_sums(s, b, m2, m4) == poly.eval(tup)
 
 
 # -- closed-form verification ------------------------------------------------------------------
@@ -258,8 +264,6 @@ def test_scan_small_grid():
         assert cell.min_q is not None and cell.min_q > 0
     # all-ones excluded from every cell
     sizes = {(cell.b, cell.s): cell.tuples_checked for cell in report.cells}
-    from math import comb
-
     for (b, s), count in sizes.items():
         assert count == comb(4 + s - 1, s) - 1
 
@@ -306,6 +310,51 @@ def test_iter_degree_tuples_order():
             assert list(_iter_degree_tuples(s, d_max)) == expected, (s, d_max)
 
 
+def _q_value_fold(b, s, lead, keep_values):
+    """_scan_slice's result, folded from q_value over _iter_degree_tuples."""
+    tuples = [tup for tup in _iter_degree_tuples(s, lead) if tup[0] == lead]
+    values = [(tup, q_value(tup, b)) for tup in tuples]
+    min_tuple, min_q = min(values, key=lambda pair: pair[1])  # first minimum
+    violations = [(tup, q) for tup, q in values if q <= 0]
+    return (
+        len(values),
+        min_q,
+        min_tuple,
+        violations[:1000],
+        max(len(violations) - 1000, 0),
+        values if keep_values else None,
+    )
+
+
+def test_scan_slice_matches_q_value_fold():
+    tasks = [
+        (b, s, lead, keep_values)
+        for s in range(2, 8)
+        for lead in range(2, 7)
+        for b in (-1000, -3, 0, 5, 8, 9)
+        for keep_values in (False, True)
+    ]
+    # A slice with more violations than a cell lists, and s far beyond the
+    # recursion limit (the walk must be iterative).
+    tasks += [(-1000, 6, 10, False), (8, 1100, 2, False)]
+    for task in tasks:
+        assert _scan_slice(task) == _q_value_fold(*task), task
+
+
+def test_scan_caps_violations():
+    reports = [verify_cg_scan(6, 10, b_values=(-1000,), workers=w) for w in (1, 2)]
+    assert reports[0].to_dict() == reports[1].to_dict()
+    cells = {cell.s: cell for cell in reports[0].cells}
+    cell = cells[6]
+    assert cell.tuples_checked == comb(15, 6) - 1 == 5004
+    assert cell.violations_omitted == 4004
+    assert [t for t, _ in cell.violations] == list(islice(_iter_degree_tuples(6, 10), 1000))
+    assert cell.to_dict()["violations_omitted"] == 4004
+    # Cells under the cap keep every violation and carry no omitted count.
+    assert len(cells[4].violations) == 714
+    assert "violations_omitted" not in cells[4].to_dict()
+
+
 def test_scan_per_tuple_listing():
     report = verify_cg_scan(2, 3, b_values=(8,), per_tuple=True)
     cell = report.cells[0]
@@ -322,6 +371,8 @@ def test_scan_s2_positive_up_to_six():
 def test_scan_rejects_bad_ranges():
     with pytest.raises(ValueError):
         verify_cg_scan(1, 6)
+    with pytest.raises(ValueError):
+        verify_cg_scan(3, 2, b_values=())
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
