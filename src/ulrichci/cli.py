@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+import tempfile
 
 from . import __version__
 from .ci_invariants import (
@@ -109,22 +111,55 @@ def _default_workers() -> int:
         raise ValueError(f"ULRICHCI_WORKERS {exc}") from None
 
 
+def _replaceable(path: str) -> bool:
+    """Whether a renamed file may take PATH's place unnoticed.
+
+    True when PATH's directory is writable and PATH is absent or a regular
+    file of this user with one link; a device, FIFO, symlink, hard-linked or
+    foreign file is written through.
+    """
+    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+        return False
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return True
+    return stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+
+
+def _write_output(path: str, payload: str) -> None:
+    if not _replaceable(path):
+        with open(path, "w") as handle:
+            handle.write(payload)
+        return
+    # Write a sibling file and rename it over the target, so a failed write
+    # never leaves a partial output file.
+    if os.path.exists(path):
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with open(fd, "w") as handle:
+            handle.write(payload)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _emit(doc: dict, text: str, args) -> None:
     payload = json.dumps(doc, indent=2) if args.format == "json" else text
     if not args.output:
         print(payload)
         return
-    # Write a sibling file and rename it over the target, so a failed write
-    # never leaves a partial output file.
-    tmp = f"{args.output}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as handle:
-            handle.write(payload + "\n")
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        _write_output(args.output, payload + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
 def _base_doc(command: str, parameters: dict) -> dict:

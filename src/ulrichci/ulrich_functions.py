@@ -573,54 +573,65 @@ def _iter_degree_tuples(s: int, d_max: int):
             yield (lead, *rest)
 
 
+def _runs_to_tuple(runs: list, d: int, s: int) -> tuple[int, ...]:
+    """The s-tuple whose first s - 1 entries are runs (value, start, ...) and whose last is d."""
+    ends = [run[1] for run in runs[1:]] + [s - 1]
+    return (*(run[0] for run, end in zip(runs, ends) for _ in range(run[1], end)), d)
+
+
 def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
     """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead.
 
-    The tuples come in _iter_degree_tuples order.  t holds all entries of the
-    current tuple but the last, which the inner loop runs from t[-1] down to
-    1; with the prefix power sums p2[i] = sum(t[:i]^2) and p4[i] = sum(t[:i]^4)
-    each q costs O(1), and a tuple object is built only when it is kept.
+    The tuples come in _iter_degree_tuples order.  All entries but the last
+    are held as runs (value, start, m2, m4) of equal entries, where m2 and m4
+    are the sums of d^2 and d^4 over the entries before start; the last entry
+    runs from the value of the last run down to 1.  So each q, and each step
+    to the next run layout, costs O(1) whatever s is, and the entries are
+    written out only for a tuple that is kept.
     """
     b, s, lead, keep_values = task
-    t = [lead] * (s - 1)
-    p2 = [0] * s
-    p4 = [0] * s
-    i = 0  # p2 and p4 are stale after position i
+    runs = [(lead, 0, 0, 0)]
     squares = [d * d for d in range(lead + 1)]
     fourths = [d * d for d in squares]
     count = 0
     min_q = None
-    min_tuple = None
+    min_at = None
     violations = []
     omitted = 0
     values = [] if keep_values else None
     while True:
-        for j in range(i, s - 1):
-            p2[j + 1] = p2[j] + squares[t[j]]
-            p4[j + 1] = p4[j] + fourths[t[j]]
-        m2, m4 = p2[s - 1], p4[s - 1]
-        top = t[-1]
-        for d in range(top, 0, -1):
+        v, k, m2, m4 = runs[-1]
+        m2 += (s - 1 - k) * squares[v]
+        m4 += (s - 1 - k) * fourths[v]
+        for d in range(v, 0, -1):
             q = _q_from_power_sums(s, b, m2 + squares[d], m4 + fourths[d])
             if min_q is None or q < min_q:
-                min_q, min_tuple = q, (*t, d)
+                min_q, min_at = q, (runs[:], d)
             if q <= 0:
                 if len(violations) < _LIST_CAP:
-                    violations.append(((*t, d), q))
+                    violations.append((_runs_to_tuple(runs, d, s), q))
                 else:
                     omitted += 1
             if keep_values:
-                values.append(((*t, d), q))
-        count += top
-        # Advance: the rightmost entry after the lead that can still drop
+                values.append((_runs_to_tuple(runs, d, s), q))
+        count += v
+        # Advance: the rightmost entry after the lead that is still above 1
         # drops by one, and every entry after it takes its new value.
-        i = s - 2
-        while i > 0 and t[i] == 1:
-            i -= 1
+        if v == 1:
+            runs.pop()
+            i = k - 1
+        else:
+            i = s - 2
         if i == 0:
             break
-        t[i:] = [t[i] - 1] * (s - 1 - i)
-    return count, min_q, min_tuple, violations, omitted, values
+        w, k, m2, m4 = runs[-1]
+        if k == i:
+            runs.pop()
+        else:
+            m2 += (i - k) * squares[w]
+            m4 += (i - k) * fourths[w]
+        runs.append((w - 1, i, m2, m4))
+    return count, min_q, _runs_to_tuple(*min_at, s), violations, omitted, values
 
 
 def verify_cg_scan(
@@ -635,7 +646,8 @@ def verify_cg_scan(
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
     at least 2, for s = 2..s_max, and requires q > 0 at every point.  One
     task is the slice of a (b, s) cell with one leading entry; it walks its
-    tuples in order while keeping running power sums, so each q costs O(1).
+    tuples in order as runs of equal entries with running power sums, so
+    each q costs O(1) whatever s is.
     With several workers all tasks go through one process pool.
     Results are folded in task order, so the report is identical for any
     worker count.  A cell keeps its first 1000 violations in scan order and

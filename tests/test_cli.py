@@ -3,6 +3,8 @@
 import builtins
 import json
 import os
+import stat
+import threading
 
 import pytest
 
@@ -235,8 +237,11 @@ def _fail_replace(src, dst):
     raise OSError("rename failed")
 
 
+_CERTIFY = ["certify", "--n", "5", "--degrees", "2", "--r", "2"]
+
+
 @pytest.mark.parametrize("failure", ["write", "replace"])
-def test_failed_output_keeps_existing_file(tmp_path, monkeypatch, failure):
+def test_failed_output_keeps_existing_file(tmp_path, monkeypatch, capsys, failure):
     path = tmp_path / "cert.json"
     path.write_text("old\n")
     if failure == "write":
@@ -244,11 +249,66 @@ def test_failed_output_keeps_existing_file(tmp_path, monkeypatch, failure):
         monkeypatch.setattr(cli, "open", half_open, raising=False)
     else:
         monkeypatch.setattr(cli.os, "replace", _fail_replace)
-    argv = ["certify", "--n", "5", "--degrees", "2", "--r", "2", "--output", str(path)]
-    with pytest.raises(OSError):
-        main(argv)
+    assert main([*_CERTIFY, "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["cert.json"]
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "nodir" / "cert.json"
+    assert main([*_CERTIFY, "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_output_keeps_mode_of_existing_file(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    assert main([*_CERTIFY, "--output", str(path)]) == 0
+    assert "NON_EXISTENCE" in path.read_text()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_new_output_file_follows_umask(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    old_umask = os.umask(0o027)
+    try:
+        assert main([*_CERTIFY, "--output", str(path)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_output_writes_through_symlink(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main([*_CERTIFY, "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert "NON_EXISTENCE" in target.read_text()
+
+
+def test_output_to_devnull_keeps_device(capsys):
+    assert main([*_CERTIFY, "--output", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_output_to_fifo_writes_through(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True
+    )
+    reader.start()
+    assert main([*_CERTIFY, "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received and "NON_EXISTENCE" in received[0]
 
 
 def test_usage_error_unknown_suite():

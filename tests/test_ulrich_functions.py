@@ -334,9 +334,11 @@ def test_scan_slice_matches_q_value_fold():
         for b in (-1000, -3, 0, 5, 8, 9)
         for keep_values in (False, True)
     ]
-    # A slice with more violations than a cell lists, and s far beyond the
-    # recursion limit (the walk must be iterative).
-    tasks += [(-1000, 6, 10, False), (8, 1100, 2, False)]
+    # A slice with more violations than a cell lists, slices whose tuples
+    # hold long runs of equal entries, and s far beyond the recursion limit
+    # (the walk must be iterative).
+    tasks += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
+    tasks += [(8, 1100, 2, False)]
     for task in tasks:
         assert _scan_slice(task) == _q_value_fold(*task), task
 
