@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -91,7 +92,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for a worker count."""
+    """argparse type for a worker or sample count."""
     try:
         value = int(text)
     except ValueError:
@@ -99,6 +100,27 @@ def _positive_int(text: str) -> int:
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+#: Options whose value may start with a negative integer (a list or a range).
+_SIGNED_OPTIONS = ("--b", "--m")
+_SIGNED_VALUE = re.compile(r"-\d[\d,.]*$")
+
+
+def _glue_signed_values(argv: list[str]) -> list[str]:
+    """Write "--b -3,5" as "--b=-3,5".
+
+    argparse takes a value that starts with "-" and is not a single number
+    for an option, so "--b -3,5" and "--m -3..6" would fail with "expected
+    one argument".
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _default_workers() -> int:
@@ -407,7 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--s-max", type=int, default=6, help="scan: largest s")
     p_verify.add_argument("--d-max", type=int, default=6, help="scan: largest degree")
     p_verify.add_argument(
-        "--samples", type=int, default=25, help="random polynomials per s (tf2bis)"
+        "--samples",
+        type=_positive_int,
+        default=25,
+        help="random polynomials per s (tf2bis)",
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--workers", type=_positive_int, default=_default_workers())
@@ -449,6 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = _glue_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:  # building the parser reads ULRICHCI_WORKERS, which may be invalid
         args = _build_parser().parse_args(argv)
     except ValueError as exc:

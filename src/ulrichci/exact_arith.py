@@ -1,8 +1,9 @@
 """Exact rational arithmetic and the generalized binomial coefficient.
 
-Rationals are stdlib Fractions: always reduced, positive denominator, zero
-stored as 0/1, which is exactly the canonical form the rest of the kernel
-relies on for hash-based term lookup.
+Scalars are stdlib Fractions (always reduced, positive denominator).
+Polynomials do not store one Fraction per term: polyring keeps integer
+numerators over a single reduced denominator, its own canonical form, so
+polynomial equality stays a plain comparison of term maps.
 
 The binomial coefficient follows the falling-factorial convention
 

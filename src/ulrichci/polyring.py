@@ -1,17 +1,23 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
 A polynomial in s variables x1..xs is stored as a map from length-s exponent
-tuples to nonzero Fraction coefficients.  The representation is canonical
-(no zero coefficients, fixed variable count), so two polynomials are equal
-exactly when their term maps are equal.  All values are immutable; every
-operation returns a fresh polynomial, which makes them safe to share across
-threads or worker processes.
+tuples to nonzero integer numerators, over one positive integer denominator
+shared by all terms.  The representation is canonical (no zero numerators,
+the denominator and the numerators have gcd 1, the zero polynomial has
+denominator 1, fixed variable count), so two polynomials are equal exactly
+when their term maps and denominators are equal.  Ring operations run on
+Python ints followed by one gcd pass; coefficients are handed out as
+Fractions.  All values are immutable; every operation returns a fresh
+polynomial, which makes them safe to share across threads or worker
+processes.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Hard cap on the variable count.  Term counts grow combinatorially with the
@@ -40,9 +46,12 @@ def _exact(value) -> Fraction:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in x1..xs with Fraction coefficients."""
+    """Immutable sparse polynomial in x1..xs with rational coefficients.
 
-    __slots__ = ("nvars", "_terms")
+    The coefficient of x^e is Fraction(_num[e], _den).
+    """
+
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None):
         if not isinstance(nvars, int) or nvars < 1:
@@ -61,16 +70,32 @@ class MultiPoly:
                 c = _exact(coeff)
                 if c:
                     clean[tuple(exps)] = c
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _from_trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
-        # Internal fast path: caller guarantees canonical keys and nonzero Fractions.
+    def _from_trusted(
+        cls, nvars: int, num: dict[Exponents, int], den: int
+    ) -> "MultiPoly":
+        # Internal fast path: caller guarantees canonical keys, nonzero int
+        # numerators and a positive denominator coprime to them.
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         return self
+
+    @classmethod
+    def _reduced(cls, nvars: int, num: dict[Exponents, int], den: int) -> "MultiPoly":
+        # Nonzero int numerators over den > 0, divided by their common gcd.
+        g = gcd(den, *num.values()) if den != 1 else 1
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return cls._from_trusted(nvars, num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -92,7 +117,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def gens(cls, nvars: int) -> list["MultiPoly"]:
@@ -101,19 +126,20 @@ class MultiPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in self._num.items())
 
     @property
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        return max((sum(e) for e in self._terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
@@ -121,10 +147,10 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"exponent vector length {len(exps)} != nvars {self.nvars}"
             )
-        return self._terms.get(exps, Fraction(0))
+        return Fraction(self._num.get(exps, 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._num.get((0,) * self.nvars, 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -134,38 +160,43 @@ class MultiPoly:
                 f"operands have {self.nvars} and {other.nvars} variables"
             )
 
-    def __add__(self, other) -> "MultiPoly":
+    def _plus(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other over the least common denominator."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = dict(self._num)
+            den = d1
+        else:
+            g = gcd(d1, d2)
+            lift = d2 // g
+            out = {e: c * lift for e, c in self._num.items()}
+            sign *= d1 // g
+            den = d1 * lift
+        for exps, coeff in other._num.items():
+            acc = out.get(exps, 0) + sign * coeff
+            if acc:
+                out[exps] = acc
             else:
-                acc = acc + coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return MultiPoly._from_trusted(self.nvars, out)
+                del out[exps]
+        return MultiPoly._reduced(self.nvars, out, den)
+
+    def __add__(self, other) -> "MultiPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._from_trusted(
-            self.nvars, {e: -c for e, c in self._terms.items()}
+            self.nvars, {e: -c for e, c in self._num.items()}, self._den
         )
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
@@ -174,9 +205,9 @@ class MultiPoly:
         c = _exact(value)
         if not c:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly._from_trusted(
-            self.nvars, {e: c * v for e, v in self._terms.items()}
-        )
+        p = c.numerator
+        num = {e: p * v for e, v in self._num.items()}
+        return MultiPoly._reduced(self.nvars, num, self._den * c.denominator)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -184,14 +215,14 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key)
-                out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return MultiPoly._from_trusted(
-            self.nvars, {e: c for e, c in out.items() if c}
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return MultiPoly._reduced(
+            self.nvars, {e: c for e, c in out.items() if c}, self._den * other._den
         )
 
     def __rmul__(self, other) -> "MultiPoly":
@@ -205,10 +236,14 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (
+            self.nvars == other.nvars
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -219,25 +254,25 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"point has length {len(values)}, expected {self.nvars}"
             )
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        total = 0
+        for exps, coeff in self._num.items():
             term = coeff
             for e, v in zip(exps, values):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return Fraction(total, self._den)
 
     def substitute_ones(self, k: int) -> "MultiPoly":
         """Set x_{k+1} = ... = x_s = 1 and return the result in k variables."""
         if not 1 <= k <= self.nvars:
             raise ValueError(f"k={k} out of range 1..{self.nvars}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for exps, coeff in self._num.items():
             key = exps[:k]
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return MultiPoly._from_trusted(k, {e: c for e, c in out.items() if c})
+            out[key] = get(key, 0) + coeff
+        return MultiPoly._reduced(k, {e: c for e, c in out.items() if c}, self._den)
 
     def extend(self, nvars: int) -> "MultiPoly":
         """Reinterpret in a larger ring; new trailing variables do not occur."""
@@ -245,7 +280,7 @@ class MultiPoly:
             raise ValueError("extend target must have at least as many variables")
         pad = (0,) * (nvars - self.nvars)
         return MultiPoly._from_trusted(
-            nvars, {e + pad: c for e, c in self._terms.items()}
+            nvars, {e + pad: c for e, c in self._num.items()}, self._den
         )
 
     def divide_all_vars(self) -> "MultiPoly":
@@ -254,40 +289,49 @@ class MultiPoly:
         Raises NotDivisible if any term misses a variable, so the exception
         doubles as a divisibility test.
         """
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, coeff in self._num.items():
             if 0 in exps:
                 raise NotDivisible(
                     f"term with exponents {exps} is not divisible by all variables"
                 )
-            out[tuple(e - 1 for e in exps)] = coeff
-        return MultiPoly._from_trusted(self.nvars, out)
+            out[tuple([e - 1 for e in exps])] = coeff
+        return MultiPoly._from_trusted(self.nvars, out, self._den)
+
+    def times_all_vars(self) -> "MultiPoly":
+        """Multiply by x1*...*xs: every exponent goes up by one."""
+        return MultiPoly._from_trusted(
+            self.nvars,
+            {tuple([e + 1 for e in exps]): c for exps, c in self._num.items()},
+            self._den,
+        )
 
     def permuted(self, perm: Sequence[int]) -> "MultiPoly":
         """Apply the variable permutation sending position i to perm[i]."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError(f"{perm!r} is not a permutation of 0..{self.nvars - 1}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, coeff in self._num.items():
             ne = [0] * self.nvars
             for i, e in enumerate(exps):
                 ne[perm[i]] = e
             out[tuple(ne)] = coeff
-        return MultiPoly._from_trusted(self.nvars, out)
+        return MultiPoly._from_trusted(self.nvars, out, self._den)
 
     def is_symmetric(self) -> bool:
         """Invariance under an adjacent swap and the full cycle.
 
-        These two permutations generate the whole symmetric group, so checking
-        them suffices and costs only O(2 * num_terms).
+        These two permutations generate the whole symmetric group, so it
+        suffices that each term's image under both carries the same
+        coefficient, which costs O(2 * num_terms) lookups.
         """
-        s = self.nvars
-        if s == 1:
+        if self.nvars == 1:
             return True
-        swap = list(range(s))
-        swap[0], swap[1] = 1, 0
-        cycle = [(i + 1) % s for i in range(s)]
-        return self.permuted(swap) == self and self.permuted(cycle) == self
+        get = self._num.get
+        return all(
+            get((e[1], e[0]) + e[2:]) == c and get(e[-1:] + e[:-1]) == c
+            for e, c in self._num.items()
+        )
 
     # -- serialization -------------------------------------------------------
 
@@ -298,13 +342,13 @@ class MultiPoly:
         variable count round-trips; the zero polynomial serializes as a single
         term with coefficient 0.
         """
-        items = sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        items = sorted(self._num.items(), key=lambda kv: kv[0], reverse=True)
         if not items:
-            items = [((0,) * self.nvars, Fraction(0))]
+            items = [((0,) * self.nvars, 0)]
         parts = []
         for exps, coeff in items:
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps))
-            parts.append(f"{coeff} * {mono}")
+            parts.append(f"{Fraction(coeff, self._den)} * {mono}")
         return " + ".join(parts)
 
     __str__ = to_string

@@ -9,9 +9,9 @@ exponent multiset is the partition lambda (zero when lambda has more parts
 than variables).  Every symmetric polynomial of degree at most 4 in s >= 4
 variables is a unique rational combination of these.
 
-Two independent expansion algorithms are provided: direct coefficient
-peeling, and restriction to four variables followed by a triangular solve.
-They form an oracle pair for each other.
+Two independent expansion algorithms are provided: reading coefficients off
+leading monomials, and restriction to four variables followed by inverting
+the restriction map.  They form an oracle pair for each other.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import binom_int
@@ -41,9 +43,6 @@ BASIS: tuple[tuple[int, ...], ...] = (
     (1,),
     (),
 )
-
-#: Basis indices grouped by total degree, highest first (peeling order).
-_DEGREE_GROUPS = ((0, 1, 2, 3, 4), (5, 6, 7), (8, 9), (10,), (11,))
 
 
 class NotSymmetric(ValueError):
@@ -113,17 +112,20 @@ def monomial_sym(lam, s: int) -> MultiPoly:
     """The monomial symmetric polynomial m_lambda in s variables.
 
     Returns the zero polynomial when lambda has more parts than variables;
-    the empty partition gives the constant 1.
+    the empty partition gives the constant 1.  Each m_lambda is built once
+    and shared afterwards, which is safe because MultiPoly is immutable.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
     Partition(parts)  # validates shape
-    if len(parts) > s:
-        return MultiPoly.zero(s)
-    one = Fraction(1)
+    return _monomial_sym(parts, s)
+
+
+@lru_cache(maxsize=None)
+def _monomial_sym(parts: tuple[int, ...], s: int) -> MultiPoly:
     return MultiPoly._from_trusted(
-        s, {arr: one for arr in iter_arrangements(parts, s)}
+        s, {arr: 1 for arr in iter_arrangements(parts, s)}, 1
     )
 
 
@@ -146,11 +148,16 @@ class SymExpansion:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     def reconstruct(self) -> MultiPoly:
-        total = MultiPoly.zero(self.s)
+        # The basis elements have disjoint supports, so each coefficient
+        # fills its own orbit of terms over the common denominator.
+        den = lcm(*(c.denominator for c in self.coeffs))
+        num: dict[tuple[int, ...], int] = {}
         for coeff, lam in zip(self.coeffs, BASIS):
             if coeff:
-                total = total + monomial_sym(lam, self.s).scale(coeff)
-        return total
+                orbit = _monomial_sym(lam, self.s)._num
+                lifted = coeff.numerator * (den // coeff.denominator)
+                num.update(dict.fromkeys(orbit, lifted))
+        return MultiPoly._reduced(self.s, num, den)
 
 
 def _require_expandable(G: MultiPoly) -> None:
@@ -161,34 +168,32 @@ def _require_expandable(G: MultiPoly) -> None:
 
 
 def expand_direct(G: MultiPoly) -> SymExpansion:
-    """Expand a symmetric polynomial of degree <= 4 by coefficient peeling.
+    """Expand a symmetric polynomial of degree <= 4 by reading leading monomials.
 
-    Working down from degree 4, each basis coefficient is read off the
-    leading monomial of its partition (x1^4 for m4, x1^3*x2 for m31, ...),
-    the matched combination is subtracted, and the residual after the
-    constant layer must vanish exactly.
+    Each basis coefficient is the coefficient of the leading monomial of its
+    partition (x1^4 for m4, x1^3*x2 for m31, ...).  G is in the span of the
+    basis exactly when the orbits of the nonzero coefficients hold as many
+    terms as G and every term carries the coefficient of its sorted exponent
+    vector, which must be one of those leading monomials.  Only when this
+    orbit check fails are degree and symmetry tested, to name the error.
     """
     s = G.nvars
     if s < 4:
         raise ValueError(f"expansion needs s >= 4 variables, got {s}")
-    _require_expandable(G)
-    remainder = G
-    coeffs: list[Fraction] = [Fraction(0)] * 12
-    for group in _DEGREE_GROUPS:
-        layer: list[tuple[int, Fraction]] = []
-        for idx in group:
-            lam = BASIS[idx]
-            lead = tuple(lam) + (0,) * (s - len(lam))
-            layer.append((idx, remainder.coefficient(lead)))
-        for idx, coeff in layer:
-            coeffs[idx] = coeff
-            if coeff:
-                remainder = remainder - monomial_sym(BASIS[idx], s).scale(coeff)
-    if not remainder.is_zero:
-        raise ValueError(
-            "nonzero residual after peeling; polynomial is outside the basis span"
-        )
-    return SymExpansion(s, tuple(coeffs))
+    num = G._num
+    leads = [lam + (0,) * (s - len(lam)) for lam in BASIS]
+    spanned = {lead: num[lead] for lead in leads if lead in num}
+    orbit_terms = sum(
+        _monomial_sym(lam, s).num_terms
+        for lam, lead in zip(BASIS, leads)
+        if lead in spanned
+    )
+    if G.num_terms != orbit_terms or any(
+        spanned.get(tuple(sorted(e, reverse=True))) != c for e, c in num.items()
+    ):
+        _require_expandable(G)
+        raise ValueError("polynomial is outside the basis span")
+    return SymExpansion(s, tuple(G.coefficient(lead) for lead in leads))
 
 
 def restriction_coefficients(
@@ -203,13 +208,18 @@ def restriction_coefficients(
     """
     if s < 4:
         raise ValueError(f"restriction map needs s >= 4, got {s}")
+    return _restriction_map(coeffs, s - 4)
+
+
+def _restriction_map(coeffs: Sequence[Fraction], t: int) -> tuple[Fraction, ...]:
+    """The restriction map R(t) that sets t trailing variables to 1.
+
+    R(t) R(u) = R(t + u) for all integers t and u, so R(-t) inverts R(t).
+    """
     a = [Fraction(c) for c in coeffs]
     if len(a) != 12:
         raise ValueError(f"expected 12 coefficients, got {len(a)}")
-    t = s - 4
-    c2 = binom_int(t, 2)
-    c3 = binom_int(t, 3)
-    c4 = binom_int(t, 4)
+    c2, c3, c4 = (int(binom_int(t, k)) for k in (2, 3, 4))  # integer-valued
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
     return (
         a1,
@@ -232,10 +242,10 @@ def restriction_coefficients(
 
 
 def expand_via_restriction(G: MultiPoly) -> SymExpansion:
-    """Expand by restricting to four variables and solving triangularly.
+    """Expand by restricting to four variables and inverting the restriction.
 
     Substitutes x5 = ... = xs = 1, expands the four-variable restriction
-    directly, and inverts the restriction map by forward substitution.  For
+    directly, and applies the inverse restriction map R(4 - s).  For
     s = 4 there is nothing to substitute and this is expand_direct.
     Independent of expand_direct on the input itself, which makes the two
     algorithms an oracle pair.
@@ -247,12 +257,7 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
         return expand_direct(G)
     _require_expandable(G)
     b = expand_direct(G.substitute_ones(4)).coeffs
-    # The restriction map is unit lower triangular in basis order, so with
-    # a[i:] still zero its i-th output is the part of b[i] due to a[:i].
-    a = [Fraction(0)] * 12
-    for i in range(12):
-        a[i] = b[i] - restriction_coefficients(a, s)[i]
-    expansion = SymExpansion(s, tuple(a))
+    expansion = SymExpansion(s, _restriction_map(b, 4 - s))
     if expansion.reconstruct() != G:
         raise ValueError(
             "restriction solve does not reconstruct the input; "

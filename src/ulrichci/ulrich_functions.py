@@ -42,12 +42,14 @@ def _hrr_quotient(s: int, twist) -> MultiPoly:
     p1, p2, p4 = (monomial_sym((k,), s) for k in (1, 2, 4))
     # log(exp(twist*h) * td(X)) = l1*h + l2*h^2 + l4*h^4 mod h^5: the series
     # log((1-e^-x)/x) = -x/2 + x^2/24 - x^4/2880 + ... has no x^3 term.
-    l1 = p1.scale(Fraction(-1, 2)) + twist + Fraction(n, 2)
-    l2 = (p2 - n).scale(Fraction(1, 24))
-    l4 = (n - p4).scale(Fraction(1, 2880))
-    # [h^4] exp(l1*h + l2*h^2 + l4*h^4) = l4 + l2^2/2 + l1^2*l2/2 + l1^4/24.
-    sq = l1 * l1
-    return l4 + (l2 * (l2 + sq)).scale(Fraction(1, 2)) + (sq * sq).scale(Fraction(1, 24))
+    # With l1 = L1/2, l2 = L2/24, l4 = L4/2880, the coefficient
+    # [h^4] exp(l1*h + l2*h^2 + l4*h^4) = l4 + l2^2/2 + l1^2*l2/2 + l1^4/24
+    # is (2*L4 + 5*L2^2 + 30*L1^2*L2 + 15*L1^4) / 5760.
+    L1 = 2 * twist - p1 + n
+    L2 = p2 - n
+    L4 = n - p4
+    sq = L1 * L1
+    return (2 * L4 + L2 * (5 * L2 + 30 * sq) + 15 * sq * sq).scale(Fraction(1, 5760))
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +61,7 @@ def build_a(s: int, m: int) -> MultiPoly:
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return monomial_sym((1,) * s, s) * _hrr_quotient(s, m)
+    return _hrr_quotient(s, m).times_all_vars()
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +77,7 @@ def build_f(s: int, r: int, m: int) -> MultiPoly:
     shift = (monomial_sym((1,), s) - s).scale(Fraction(r, 2))
     b_part = binom_poly(shift - m - 1, 4).scale(-r)
     quotient = _hrr_quotient(s, m) + _hrr_quotient(s, m - shift).scale(r - 1) + b_part
-    return monomial_sym((1,) * s, s) * quotient
+    return quotient.times_all_vars()
 
 
 def build_q(s: int, b: int) -> MultiPoly:
@@ -94,7 +96,7 @@ def build_delta(s: int) -> MultiPoly:
     m1 = monomial_sym((1,), s)
     m11 = monomial_sym((1, 1), s)
     bracket = 7 * m1 * m1 - (12 * s) * m1 - 2 * m11 + (6 * s * s - s)
-    return monomial_sym((1,) * s, s) * bracket.scale(Fraction(1, 8))
+    return bracket.scale(Fraction(1, 8)).times_all_vars()
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +118,7 @@ def build_g4(s: int) -> MultiPoly:
         - 40 * m1_2 * m11
         + 4 * m11 * m11
     )
-    return monomial_sym((1,) * s, s) * bracket.scale(Fraction(5, 1728))
+    return bracket.scale(Fraction(5, 1728)).times_all_vars()
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +437,7 @@ def verify_gl2(s: int) -> list[CheckResult]:
             for coeff, lam in zip(coeffs, BASIS):
                 if coeff:
                     expected = expected + monomial_sym(lam, s).scale(coeff)
-            expected = monomial_sym((1,) * s, s) * expected.scale(prefactor)
+            expected = expected.scale(prefactor).times_all_vars()
             ok = built == expected
             results.append(
                 CheckResult(
@@ -458,13 +460,13 @@ def verify_gl4(s: int) -> list[CheckResult]:
     """
     if s < 4:
         raise ValueError(f"gl4 verification needs s >= 4, got {s}")
-    prod = monomial_sym((1,) * s, s)
     checks = [
-        ("gl4(1)", build_g4(s) - build_f(s, 2, 0), prod * build_q(s, 8) / 4320),
-        ("gl4(2)", build_chi_prime(s) - build_f(s, 3, 0), prod * build_q(s, 9) / 3840),
+        ("gl4(1)", build_g4(s) - build_f(s, 2, 0), build_q(s, 8) / 4320),
+        ("gl4(2)", build_chi_prime(s) - build_f(s, 3, 0), build_q(s, 9) / 3840),
     ]
     results = []
-    for label, lhs, rhs in checks:
+    for label, lhs, quotient in checks:
+        rhs = quotient.times_all_vars()
         ok = lhs == rhs
         results.append(
             CheckResult(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import builtins
+import hashlib
 import json
 import os
 import stat
@@ -180,6 +181,22 @@ def test_scan_empty_b_exits_2(capsys):
     assert captured.err == "error: scan needs at least one b value\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, command",
+    [
+        ("--b", "-3,5", ["scan", "--s-max", "2", "--d-max", "2"]),
+        ("--m", "-3..6", ["invariants", "--n", "5", "--degrees", "2,3", "--r", "2"]),
+    ],
+    ids=["scan-b", "invariants-m"],
+)
+def test_value_starting_with_minus(capsys, option, value, command):
+    # argparse alone reads "-3,5" as an option and exits 2.
+    spaced = run(capsys, *command, option, value)
+    joined = run(capsys, *command, f"{option}={value}")
+    assert spaced == joined
+    assert joined[0] in (0, 1)
+
+
 def test_scan_reports_omitted_violations(capsys):
     code, out = run(capsys, "scan", "--s-max", "6", "--d-max", "10", "--b", "-1000")
     assert code == 1
@@ -354,6 +371,42 @@ def test_invalid_workers_flag_exits_2(capsys, command, value):
         f"error: argument --workers: must be a positive integer, got '{value}'"
         in captured.err
     )
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_invalid_samples_flag_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "tf2bis", "--s", "5", "--samples", value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"error: argument --samples: must be a positive integer, got '{value}'"
+        in captured.err
+    )
+
+
+#: sha256 of the --format json stdout of verify runs, pinned so that any
+#: rewrite of the arithmetic must keep the reports byte-identical.
+REPORT_DIGESTS = {
+    "default": (
+        [],
+        "9366d2c35eb0a3aaf5e70338203a0ac749015424382ac5aa45b093d2736b2f2a",
+    ),
+    "s5-8-seed1": (
+        ["--s", "5..8", "--seed", "1"],
+        "67e500088a9f92c534435833c9eae109ed2e51ea016b52ce51a04b77755a8e3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_verify_report_digest(monkeypatch, capsys, name):
+    monkeypatch.delenv("ULRICHCI_WORKERS", raising=False)
+    argv, digest = REPORT_DIGESTS[name]
+    code, out = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_all_default_budget(capsys):

@@ -1,6 +1,7 @@
 """Tests for the sparse exact polynomial ring."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,98 @@ coefficients = st.fractions(
 polys = st.dictionaries(exponent_vectors, coefficients, max_size=6).map(
     lambda terms: MultiPoly(2, terms)
 )
+
+
+# Reference model: a plain dict of nonzero Fractions in three variables.
+ref_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(1, 3)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+    max_size=5,
+)
+scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+def ref_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_to_string(terms, nvars):
+    items = sorted(terms.items(), reverse=True) or [((0,) * nvars, Fraction(0))]
+    return " + ".join(
+        f"{c} * " + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps))
+        for exps, c in items
+    )
+
+
+def assert_canonical(p):
+    """One positive denominator, coprime to the nonzero int numerators."""
+    assert p._den >= 1
+    assert all(type(c) is int and c for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+
+
+def assert_models(p, terms):
+    assert_canonical(p)
+    assert dict(p.terms()) == terms
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert p.to_string() == ref_to_string(terms, p.nvars)
+
+
+@given(ref_terms, ref_terms, scalars)
+@settings(max_examples=80)
+def test_matches_fraction_dict_reference(a, b, k):
+    p, q = MultiPoly(3, a), MultiPoly(3, b)
+    assert_models(p, a)
+    assert_models(p + q, ref_combine(a, b, 1))
+    assert_models(p - q, ref_combine(a, b, -1))
+    assert_models(p * q, ref_mul(a, b))
+    assert_models(p.scale(k), {e: c * k for e, c in a.items() if c * k})
+    assert_models(p + k, ref_combine(a, {(0, 0, 0): Fraction(k)} if k else {}, 1))
+    restricted = {}
+    for e, c in a.items():
+        restricted[e[:2]] = restricted.get(e[:2], 0) + c
+    assert_models(p.substitute_ones(2), {e: c for e, c in restricted.items() if c})
+    shifted = p.times_all_vars()
+    assert_models(shifted, {tuple(x + 1 for x in e): c for e, c in a.items()})
+    assert_models(shifted.divide_all_vars(), a)
+    assert (p == q) == (a == b)
+    point = (Fraction(-1, 2), 3, Fraction(2, 3))
+    assert p.eval(point) == sum(
+        (c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2] for e, c in a.items()),
+        Fraction(0),
+    )
+
+
+@given(polys)
+@settings(max_examples=40)
+def test_canonical_form(p):
+    assert p.scale(Fraction(3, 7)).scale(Fraction(7, 3)) == p
+    assert p - p == MultiPoly.zero(2)
+    assert (p - p)._den == 1
+    assert p.is_zero or p.scale(Fraction(1, 2)) != p
+    assert_canonical(p.scale(Fraction(3, 7)))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_times_all_vars_is_product_with_all_vars(s):
+    from ulrichci.ulrich_functions import build_q
+
+    q = build_q(s, 9) / 3840
+    assert q.times_all_vars() == q * monomial_sym((1,) * s, s)
 
 
 # -- construction and canonical form ------------------------------------------

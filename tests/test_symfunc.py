@@ -11,6 +11,7 @@ from ulrichci.symfunc import (
     NotSymmetric,
     Partition,
     SymExpansion,
+    _restriction_map,
     expand_direct,
     expand_via_restriction,
     monomial_sym,
@@ -112,6 +113,28 @@ def test_expand_rejects_high_degree():
         expand_direct(m1 * m1 * m1 * m1 * m1)
 
 
+def test_expand_rejects_one_changed_coefficient():
+    rng = random.Random(5)
+    for s in (4, 5, 6):
+        for _ in range(10):
+            terms = dict(random_expansion(s, rng).reconstruct().terms())
+            # A term whose exponents are all equal is a whole orbit on its own.
+            exps = rng.choice(sorted(e for e in terms if len(set(e)) > 1))
+            terms[exps] += rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 3))
+            with pytest.raises(NotSymmetric):
+                expand_direct(MultiPoly(s, terms))
+
+
+def test_expand_orbit_check_counts_terms():
+    x1, x2, x3, x4 = MultiPoly.gens(4)
+    # Each term carries the coefficient of its orbit's leading monomial, but
+    # an orbit is incomplete; the degree-5 term fills the count back up.
+    with pytest.raises(NotSymmetric):
+        expand_direct(x1 + x2 + x3)
+    with pytest.raises(ValueError, match="degree 5 > 4"):
+        expand_direct(x1 + x2 + x3 + x1 * x1 * x1 * x1 * x1)
+
+
 def test_expand_requires_four_variables():
     with pytest.raises(ValueError):
         expand_direct(MultiPoly.const(3, 1))
@@ -170,6 +193,16 @@ def test_restriction_coefficients_match_substitution():
         predicted = restriction_coefficients(expansion.coeffs, s)
         restricted = expansion.reconstruct().substitute_ones(4)
         assert expand_direct(restricted).coeffs == predicted
+
+
+def test_restriction_map_inverse():
+    rng = random.Random(13)
+    for s in range(5, 13):
+        for _ in range(5):
+            a = random_expansion(s, rng).coeffs
+            restricted = _restriction_map(a, s - 4)
+            assert restricted == restriction_coefficients(a, s)
+            assert _restriction_map(restricted, 4 - s) == a
 
 
 def test_s_equal_four_aliases_direct():
