@@ -20,7 +20,7 @@ from math import comb, prod
 
 from . import __version__
 from .exact_arith import binom_int
-from .ulrich_functions import q_value
+from .ulrich_functions import GL4_CONSTANTS, q_value
 
 NON_EXISTENCE = "NON_EXISTENCE"
 EXCLUDED = "EXCLUDED"
@@ -390,11 +390,10 @@ def certify(n: int, degrees, r: int, min_pad: int = 4) -> Certificate:
             hypotheses=[],
         )
 
-    b = 8 if r == 2 else 9
+    b, denom = GL4_CONSTANTS[r]
     q = q_value(cfg.degrees, b)
     w = cfg.d * q
     e, e_integral = c2_E_coeff(cfg)
-    denom = 4320 if r == 2 else 3840
     mismatch = Fraction(w, denom)
     witnesses = {
         "b": b,

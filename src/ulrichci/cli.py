@@ -34,9 +34,11 @@ from .ci_invariants import (
     det_twist,
     parity_obstruction,
 )
+from .polyring import MAX_VARS
 from .report import CheckResult, all_ok, summarize
 from .symfunc import verify_tf2_table, verify_tf2bis
 from .ulrich_functions import (
+    GL4_CONSTANTS,
     SUPPORTED_PAIRS,
     ScanReport,
     verify_cg_induction,
@@ -203,7 +205,7 @@ def _run_suite(suite: str, args) -> list[CheckResult]:
         report = verify_cg_scan(args.s_max, args.d_max, workers=args.workers)
         results = _scan_checks(report)
         for s in range(2, args.s_max + 1):
-            for b in (8, 9):
+            for b, _ in GL4_CONSTANTS.values():
                 results.extend(verify_cg_induction(s, b))
         return results
     checks_at, min_s, default_range = _RANGED_SUITES[suite]
@@ -243,6 +245,14 @@ def _scan_checks(report: ScanReport) -> list[CheckResult]:
 
 def _cmd_verify(args) -> int:
     suites = list(SUITES[1:]) if args.suite == "all" else [args.suite]
+    # Fail before any work: the ranged suites work in s variables, cg in s-max + 1.
+    if args.suite != "cg" and args.s and args.s[1] > MAX_VARS:
+        raise ValueError(f"--s must be at most {MAX_VARS} (MAX_VARS), got {args.s[1]}")
+    if "cg" in suites and args.s_max >= MAX_VARS:
+        raise ValueError(
+            f"--s-max must be at most {MAX_VARS - 1} for suite cg (MAX_VARS - 1), "
+            f"got {args.s_max}"
+        )
     results: list[CheckResult] = []
     for suite in suites:
         results.extend(_run_suite(suite, args))

@@ -100,6 +100,10 @@ class MultiPoly:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__.
+        return (MultiPoly._from_trusted, (self.nvars, self._num, self._den))
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -148,9 +152,6 @@ class MultiPoly:
                 f"exponent vector length {len(exps)} != nvars {self.nvars}"
             )
         return Fraction(self._num.get(exps, 0), self._den)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num.get((0,) * self.nvars, 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -305,18 +306,6 @@ class MultiPoly:
             {tuple([e + 1 for e in exps]): c for exps, c in self._num.items()},
             self._den,
         )
-
-    def permuted(self, perm: Sequence[int]) -> "MultiPoly":
-        """Apply the variable permutation sending position i to perm[i]."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError(f"{perm!r} is not a permutation of 0..{self.nvars - 1}")
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._num.items():
-            ne = [0] * self.nvars
-            for i, e in enumerate(exps):
-                ne[perm[i]] = e
-            out[tuple(ne)] = coeff
-        return MultiPoly._from_trusted(self.nvars, out, self._den)
 
     def is_symmetric(self) -> bool:
         """Invariance under an adjacent swap and the full cycle.

@@ -63,16 +63,6 @@ class Partition:
             raise ValueError(f"partition must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
 
 def iter_arrangements(exps: Sequence[int], s: int) -> Iterator[tuple[int, ...]]:
     """Yield every distinct length-s tuple whose nonzero entries realize exps.

@@ -8,9 +8,11 @@ q_{s,b}.  Each closed-form coefficient table published for these functions is
 kept verbatim as a test oracle, never as a construction path, so the
 compositional builders and the tables verify each other.
 
-The Euler polynomials come from Hirzebruch-Riemann-Roch: chi(O_X(m)) is
-x1*...*xs times a degree-<=4 polynomial in m and the power sums p1, p2, p4
-of the degrees, so building f costs time linear in its output.
+Each function is written once, as a polynomial in the power-sum ring
+Q[s, p1, p2, p4]: s counts the degrees x1..xs and p_k = x1^k + ... + xs^k
+(Hirzebruch-Riemann-Roch needs no p3).  All but q are divisible by
+x1*...*xs, which the ring forms leave out.  An identity between ring forms
+holds for every s at once; build_*(s, ...) specialise the forms to s variables.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 from .exact_arith import binom_poly
 from .polyring import MultiPoly, NotDivisible
@@ -29,27 +31,84 @@ from .symfunc import BASIS, expand_direct, monomial_sym
 
 SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
 
+#: Rank r -> (b, denominator) of the gl4 identity for r:
+#: chi_Noether - f_{s,r,0} = (x1*...*xs) * q_{s,b} / denominator.
+GL4_CONSTANTS = {2: (8, 4320), 3: (9, 3840)}
 
-def _hrr_quotient(s: int, twist) -> MultiPoly:
-    """[h^4] of exp(twist*h) * td(X), divided by x1*...*xs.
+# Generators s, p1, p2, p4 of the power-sum ring.
+_S, _P1, _P2, _P4 = MultiPoly.gens(4)
+
+
+def _hrr_quotient(twist) -> MultiPoly:
+    """[h^4] of exp(twist*h) * td(X), divided by x1*...*xs, in Q[s, p1, p2, p4].
 
     X is a fourfold complete intersection of degrees x1..xs in P^(s+4), so
     td(X) = (h/(1-e^-h))^(s+5) * prod_i (1-e^(-x_i h))/(x_i h) and, by HRR,
-    chi(O_X(m)) = (x1*...*xs) * _hrr_quotient(s, m).  twist is an integer or
-    a polynomial in the degrees.
+    chi(O_X(m)) = (x1*...*xs) * _hrr_quotient(m).  twist is an integer or
+    a polynomial in the power-sum ring.
     """
-    n = s + 5
-    p1, p2, p4 = (monomial_sym((k,), s) for k in (1, 2, 4))
+    n = _S + 5
     # log(exp(twist*h) * td(X)) = l1*h + l2*h^2 + l4*h^4 mod h^5: the series
     # log((1-e^-x)/x) = -x/2 + x^2/24 - x^4/2880 + ... has no x^3 term.
     # With l1 = L1/2, l2 = L2/24, l4 = L4/2880, the coefficient
     # [h^4] exp(l1*h + l2*h^2 + l4*h^4) = l4 + l2^2/2 + l1^2*l2/2 + l1^4/24
     # is (2*L4 + 5*L2^2 + 30*L1^2*L2 + 15*L1^4) / 5760.
-    L1 = 2 * twist - p1 + n
-    L2 = p2 - n
-    L4 = n - p4
+    L1 = 2 * twist - _P1 + n
+    L2 = _P2 - n
+    L4 = n - _P4
     sq = L1 * L1
     return (2 * L4 + L2 * (5 * L2 + 30 * sq) + 15 * sq * sq).scale(Fraction(1, 5760))
+
+
+@lru_cache(maxsize=None)
+def _f_form(r: int, m: int) -> MultiPoly:
+    """f_{s,r,m} / (x1*...*xs), composed as build_f describes."""
+    shift = (_P1 - _S).scale(Fraction(r, 2))
+    b_part = binom_poly(shift - m - 1, 4).scale(-r)
+    return _hrr_quotient(m) + _hrr_quotient(m - shift).scale(r - 1) + b_part
+
+
+@lru_cache(maxsize=None)
+def _noether_forms() -> dict[str, MultiPoly]:
+    """g4, delta, h, k, c and chi' over x1*...*xs, from the Noether-formula route."""
+    s, m1, m11 = _S, _P1, (_P1 * _P1 - _P2) / 2
+    # Rank 2: deg Z = delta2 * (x1*...*xs), K_Z = (2*p1 - 2s - 5) H_Z and
+    # c2(Z) = (c2_rel / 12) * deg Z; Noether gives g4 = (K_Z^2 + c2(Z)) / 12.
+    delta2 = (4 * m1 * m1 - 6 * s * m1 + 3 * s * s - s - 2 * m11) / 12
+    kz2 = 2 * m1 - (2 * s + 5)
+    c2_rel = 120 + 115 * s + 27 * s * s - (120 + 54 * s) * m1 + 32 * m1 * m1 - 10 * m11
+    g4 = (kz2 * kz2 + c2_rel / 12) * delta2 / 12
+    delta = (7 * m1 * m1 - (12 * s) * m1 - 2 * m11 + (6 * s * s - s)).scale(Fraction(1, 8))
+    h = -2 * _f_form(3, 1) + 2 * _f_form(3, 0) + delta
+    shift = m1 - (s + 2)
+    k = 5 * shift * h - shift * shift * delta.scale(Fraction(25, 4))
+    bracket = (
+        49 * m1 * m1
+        - (104 * s + 160) * m1
+        + 6 * m11
+        + (52 * s * s + 163 * s + 120)
+    )
+    c = (4 * m1 - (4 * s + 5)) * h - bracket * delta.scale(Fraction(1, 8))
+    chi_prime = (k + c).scale(Fraction(1, 12))
+    return {"g4": g4, "delta": delta, "h": h, "k": k, "c": c, "chi_prime": chi_prime}
+
+
+@lru_cache(maxsize=None)
+def _power_product(i: int, j: int, k: int, s: int) -> MultiPoly:
+    """p1^i * p2^j * p4^k in s variables."""
+    p1, p2, p4 = (monomial_sym((e,), s) for e in (1, 2, 4))
+    return prod([p1] * i + [p2] * j + [p4] * k, start=MultiPoly.const(s, 1))
+
+
+def _specialise(form: MultiPoly, s: int) -> MultiPoly:
+    """form in s variables: s becomes the integer and p_k = x1^k + ... + xs^k."""
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for (a, *powers), c in form.terms():
+        coeffs[tuple(powers)] = coeffs.get(tuple(powers), 0) + c * s**a
+    result = MultiPoly.zero(s)
+    for powers, c in coeffs.items():
+        result = result + _power_product(*powers, s).scale(c)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +120,7 @@ def build_a(s: int, m: int) -> MultiPoly:
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _hrr_quotient(s, m).times_all_vars()
+    return _specialise(_hrr_quotient(m), s).times_all_vars()
 
 
 @lru_cache(maxsize=None)
@@ -74,87 +133,44 @@ def build_f(s: int, r: int, m: int) -> MultiPoly:
     """
     if s < 1 or r < 2:
         raise ValueError(f"need s >= 1 and r >= 2, got s={s}, r={r}")
-    shift = (monomial_sym((1,), s) - s).scale(Fraction(r, 2))
-    b_part = binom_poly(shift - m - 1, 4).scale(-r)
-    quotient = _hrr_quotient(s, m) + _hrr_quotient(s, m - shift).scale(r - 1) + b_part
-    return quotient.times_all_vars()
+    return _specialise(_f_form(r, m), s).times_all_vars()
 
 
 def build_q(s: int, b: int) -> MultiPoly:
     """Obstruction polynomial b*m4 + 10*m22 - 10*s*m2 + s*(5s - b + 5)."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    q = monomial_sym((4,), s).scale(b)
-    q = q + monomial_sym((2, 2), s).scale(10)
-    q = q - monomial_sym((2,), s).scale(10 * s)
-    return q + s * (5 * s - b + 5)
+    return _specialise(_q_from_power_sums(_S, b, _P2, _P4), s)
 
 
-@lru_cache(maxsize=None)
 def build_delta(s: int) -> MultiPoly:
     """Degree polynomial of the rank-3 Ulrich surface (times the CI degree)."""
-    m1 = monomial_sym((1,), s)
-    m11 = monomial_sym((1, 1), s)
-    bracket = 7 * m1 * m1 - (12 * s) * m1 - 2 * m11 + (6 * s * s - s)
-    return bracket.scale(Fraction(1, 8)).times_all_vars()
+    return _specialise(_noether_forms()["delta"], s).times_all_vars()
 
 
-@lru_cache(maxsize=None)
 def build_g4(s: int) -> MultiPoly:
     """Noether-formula value of chi(O_Z) for the rank-2 surface, built compositionally."""
-    m1 = monomial_sym((1,), s)
-    m11 = monomial_sym((1, 1), s)
-    m1_2 = m1 * m1
-    m1_3 = m1_2 * m1
-    m1_4 = m1_3 * m1
-    bracket = (
-        (45 * s**4 + 198 * s**3 + 181 * s**2 - 84 * s)
-        + (-180 * s**3 - 612 * s**2 - 432 * s) * m1
-        + (288 * s**2 + 700 * s + 336) * m1_2
-        + (-216 * s - 288) * m1_3
-        + 64 * m1_4
-        + (-36 * s**2 - 140 * s - 168) * m11
-        + (72 * s + 144) * m1 * m11
-        - 40 * m1_2 * m11
-        + 4 * m11 * m11
-    )
-    return bracket.scale(Fraction(5, 1728)).times_all_vars()
+    return _specialise(_noether_forms()["g4"], s).times_all_vars()
 
 
-@lru_cache(maxsize=None)
 def build_h(s: int) -> MultiPoly:
     """Hyperplane-class intersection K_Z.H_Z of the rank-3 surface."""
-    return -2 * build_f(s, 3, 1) + 2 * build_f(s, 3, 0) + build_delta(s)
+    return _specialise(_noether_forms()["h"], s).times_all_vars()
 
 
-@lru_cache(maxsize=None)
 def build_k(s: int) -> MultiPoly:
     """Self-intersection K_Z^2 of the rank-3 surface."""
-    m1 = monomial_sym((1,), s)
-    shift = m1 - (s + 2)
-    return 5 * shift * build_h(s) - shift * shift * build_delta(s).scale(Fraction(25, 4))
+    return _specialise(_noether_forms()["k"], s).times_all_vars()
 
 
-@lru_cache(maxsize=None)
 def build_c(s: int) -> MultiPoly:
     """Second Chern number c2(Z) of the rank-3 surface."""
-    m1 = monomial_sym((1,), s)
-    m11 = monomial_sym((1, 1), s)
-    bracket = (
-        49 * m1 * m1
-        - (104 * s + 160) * m1
-        + 6 * m11
-        + (52 * s * s + 163 * s + 120)
-    )
-    return (4 * m1 - (4 * s + 5)) * build_h(s) - bracket * build_delta(s).scale(
-        Fraction(1, 8)
-    )
+    return _specialise(_noether_forms()["c"], s).times_all_vars()
 
 
-@lru_cache(maxsize=None)
 def build_chi_prime(s: int) -> MultiPoly:
     """Noether-formula value of chi(O_Z) for the rank-3 surface."""
-    return (build_k(s) + build_c(s)).scale(Fraction(1, 12))
+    return _specialise(_noether_forms()["chi_prime"], s).times_all_vars()
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +377,10 @@ def verify_tf0(s: int, r: int, m: int) -> list[CheckResult]:
 
 
 def verify_tf1(s: int, r: int, m: int) -> list[CheckResult]:
-    """Divisibility of f_{s,r,m} by x1*...*xs."""
+    """Divisibility of f_{s,r,m} by x1*...*xs.
+
+    Structural: build_f ends in times_all_vars, which divide_all_vars undoes.
+    """
     try:
         build_f(s, r, m).divide_all_vars()
         status, witness = PASS, None
@@ -421,10 +440,8 @@ def verify_gl2(s: int) -> list[CheckResult]:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     results = []
-    for idx, name in enumerate(
-        ("g4", "delta", "h", "k", "c", "chi_prime"), start=1
-    ):
-        built = _DERIVED_BUILDERS[name](s)
+    for idx, (name, build) in enumerate(_DERIVED_BUILDERS.items(), start=1):
+        built = build(s)
         prefactor, coeffs = closed_form_derived_coefficients(name, s)
         params = {"s": s, "function": name}
         if s >= 4:
@@ -455,18 +472,17 @@ def verify_gl2(s: int) -> list[CheckResult]:
 def verify_gl4(s: int) -> list[CheckResult]:
     """The two exact divisibility identities tying the Noether route to f.
 
-    (1) g4 - f_{s,2,0} = (x1..xs) * q_{s,8} / 4320
-    (2) chi' - f_{s,3,0} = (x1..xs) * q_{s,9} / 3840
+    (1) g4 - f_{s,2,0} = (x1..xs) * q_{s,b} / denominator, from GL4_CONSTANTS[2]
+    (2) chi' - f_{s,3,0} = (x1..xs) * q_{s,b} / denominator, from GL4_CONSTANTS[3]
     """
     if s < 4:
         raise ValueError(f"gl4 verification needs s >= 4, got {s}")
-    checks = [
-        ("gl4(1)", build_g4(s) - build_f(s, 2, 0), build_q(s, 8) / 4320),
-        ("gl4(2)", build_chi_prime(s) - build_f(s, 3, 0), build_q(s, 9) / 3840),
-    ]
+    checks = [("gl4(1)", build_g4(s), 2), ("gl4(2)", build_chi_prime(s), 3)]
     results = []
-    for label, lhs, quotient in checks:
-        rhs = quotient.times_all_vars()
+    for label, noether, r in checks:
+        b, denominator = GL4_CONSTANTS[r]
+        lhs = noether - build_f(s, r, 0)
+        rhs = (build_q(s, b) / denominator).times_all_vars()
         ok = lhs == rhs
         results.append(
             CheckResult(
@@ -484,10 +500,12 @@ def verify_gl4(s: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _q_from_power_sums(s: int, b: int, m2: int, m4: int) -> int:
-    """q_{s,b} from s and the power sums m2 = sum d_i^2, m4 = sum d_i^4."""
-    m22 = (m2 * m2 - m4) // 2
-    return b * m4 + 10 * m22 - 10 * s * m2 + s * (5 * s - b + 5)
+def _q_from_power_sums(s, b: int, m2, m4):
+    """q_{s,b} from s and the power sums m2 = sum d_i^2, m4 = sum d_i^4.
+
+    Ints at a degree tuple, or the generators s, p2, p4 of the power-sum ring.
+    """
+    return b * m4 + 5 * (m2 * m2 - m4) - 10 * s * m2 + s * (5 * s - b + 5)
 
 
 def q_value(degrees: tuple[int, ...], b: int) -> int:
@@ -702,16 +720,14 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
     """
     if s < 2:
         raise ValueError(f"induction checks need s >= 2, got {s}")
-    results = []
 
-    x_new = MultiPoly.variable(s + 1, s)
+    def r_b(t, m2):
+        # q_{s+1,b} - q_{s,b} at x_{s+1} = t, where m2 = x1^2 + ... + xs^2.
+        return b * t * t * t * t + 10 * t * t * (m2 - (s + 1)) - 10 * m2 + (10 * s - b + 10)
+
+    results = []
     m2_low = monomial_sym((2,), s).extend(s + 1)
-    r_part = (
-        b * x_new * x_new * x_new * x_new
-        + 10 * x_new * x_new * (m2_low - (s + 1))
-        - 10 * m2_low
-        + (10 * s - b + 10)
-    )
+    r_part = r_b(MultiPoly.variable(s + 1, s), m2_low)
     recursion_ok = build_q(s + 1, b) == build_q(s, b).extend(s + 1) + r_part
     results.append(
         CheckResult(
@@ -723,15 +739,7 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
 
     # r_b(1) = 0 identically in the power-sum value: work in variables (M, t)
     # with M formal, substitute t = 1.
-    Mv = MultiPoly.variable(2, 0)
-    tv = MultiPoly.variable(2, 1)
-    r_formal = (
-        b * tv * tv * tv * tv
-        + 10 * tv * tv * (Mv - (s + 1))
-        - 10 * Mv
-        + (10 * s - b + 10)
-    )
-    at_one = r_formal.substitute_ones(1)
+    at_one = r_b(MultiPoly.variable(2, 1), MultiPoly.variable(2, 0)).substitute_ones(1)
     results.append(
         CheckResult(
             lemma="cg/r_b(1)=0",
@@ -766,12 +774,12 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
         )
     )
 
-    # Base behaviour at the all-ones tuple: r_b(d) = b d^4 - 10 d^2 - b + 10
+    # Base behaviour at the all-ones tuple (m2 = s): r_b(d) = b d^4 - 10 d^2 - b + 10
     # must be positive for every d >= 2.
     base_ok = True
     base_witness = None
     for d in range(2, 7):
-        value = b * d**4 - 10 * d * d - b + 10
+        value = r_b(d, s)
         if value <= 0:
             base_ok = False
             base_witness = {"d": d, "r_b": value}

@@ -55,6 +55,36 @@ def test_verify_range_below_suite_minimum(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--suite", "gl4", "--s", "4..13"], "--s must be at most 12 (MAX_VARS), got 13"),
+        (["--s", "13"], "--s must be at most 12 (MAX_VARS), got 13"),
+        (["--suite", "cg", "--s-max", "12"], "--s-max must be at most 11 for suite cg"),
+    ],
+    ids=["gl4", "all", "cg"],
+)
+def test_verify_beyond_max_vars_exits_2_before_work(monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(cli, "_run_suite", no_work)
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_verify_largest_sizes_within_max_vars(capsys):
+    code, doc = run_json(capsys, "verify", "--suite", "gl4", "--s", "12")
+    assert code == 0 and doc["summary"] == {"total": 2, "passed": 2, "failed": 0}
+    code, doc = run_json(
+        capsys, "verify", "--suite", "cg", "--s-max", "11", "--d-max", "2"
+    )
+    assert code == 0 and doc["status"] == "pass"
+    assert {r["parameters"]["s"] for r in doc["results"]} == set(range(2, 12))
+
+
 def test_verify_all_clips_range_to_each_suite_minimum(capsys):
     code, doc = run_json(capsys, "verify", "--s", "1..5")
     assert code == 0

@@ -1,5 +1,7 @@
 """Tests for the sparse exact polynomial ring."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -293,12 +295,7 @@ def test_coefficient_length_checked():
         x(0).coefficient((1, 0, 0))
 
 
-# -- permutation and symmetry ----------------------------------------------------------
-
-
-def test_permuted_swaps_variables():
-    p = x(0) * x(0) + 2 * x(1)
-    assert p.permuted([1, 0]) == x(1) * x(1) + 2 * x(0)
+# -- symmetry ----------------------------------------------------------------------------
 
 
 def test_is_symmetric():
@@ -342,3 +339,17 @@ def test_round_trip_random(p):
 def test_from_string_rejects_garbage():
     with pytest.raises(ValueError):
         MultiPoly.from_string("3x + 4")
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_round_trip(duplicate):
+    p = x(0, 3) * x(2, 3) / 6 - Fraction(3, 4)
+    twin = duplicate(p)
+    assert twin == p and twin.nvars == 3
+    assert twin.coefficient((1, 0, 1)) == Fraction(1, 6)
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.nvars = 2

@@ -6,6 +6,9 @@ inclusion-exclusion binomial sums directly through binom_poly, term by term,
 so the two paths are fully independent.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb
@@ -17,6 +20,7 @@ from ulrichci.exact_arith import binom_int, binom_poly
 from ulrichci.polyring import MultiPoly, NotDivisible
 from ulrichci.symfunc import expand_direct, monomial_sym
 from ulrichci.ulrich_functions import (
+    GL4_CONSTANTS,
     SUPPORTED_PAIRS,
     _iter_degree_tuples,
     _q_from_power_sums,
@@ -252,6 +256,33 @@ def test_gl4_identities(s):
 def test_gl4_evaluated_at_padded_quadric():
     diff = build_g4(4) - build_f(4, 2, 0)
     assert diff.eval((2, 1, 1, 1)) == Fraction(2 * 90, 4320) == Fraction(1, 24)
+
+
+@pytest.mark.parametrize("r,noether", [(2, "g4"), (3, "chi_prime")])
+def test_gl4_holds_for_every_s(r, noether):
+    # One identity in Q[s, p1, p2, p4] covers every number of degrees s.
+    uf = ulrich_functions
+    b, denominator = GL4_CONSTANTS[r]
+    lhs = uf._noether_forms()[noether] - uf._f_form(r, 0)
+    assert lhs == uf._q_from_power_sums(uf._S, b, uf._P2, uf._P4) / denominator
+    assert GL4_CONSTANTS == {2: (8, 4320), 3: (9, 3840)}
+
+
+def test_import_builds_no_power_sum_form():
+    # The ring forms are built on first use, so importing the CLI pays nothing.
+    code = (
+        "import ulrichci.cli\n"
+        "from ulrichci import ulrich_functions as uf\n"
+        "print([n for n, f in vars(uf).items()"
+        " if hasattr(f, 'cache_info') and f.cache_info().currsize])"
+    )
+    package_root = os.path.dirname(os.path.dirname(ulrich_functions.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # -- positivity scan and induction ----------------------------------------------------------------
