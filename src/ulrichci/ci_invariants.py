@@ -9,18 +9,23 @@ Conventions for a smooth complete intersection X in P^(n+s) of degrees
 d_1..d_s: S is the degree sum, S2 the sum of pairwise products, d the product
 (the degree of X), and the hyperplane class generates the Picard group, so
 line bundles are integer twists u.
+
+deg Z and the surface data evaluate ulrich_functions.deg_bracket and
+surface_invariants, the Noether route the ring forms are built from, at
+(s, S, S2); chi_OZ (inclusion-exclusion) and deg_Z_chern stay independent
+routes to check them against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
 from . import __version__
 from .exact_arith import binom_int
-from .ulrich_functions import GL4_CONSTANTS, q_value
+from .ulrich_functions import GL4_CONSTANTS, deg_bracket, q_value, surface_invariants
 
 NON_EXISTENCE = "NON_EXISTENCE"
 EXCLUDED = "EXCLUDED"
@@ -31,7 +36,6 @@ REASON_Q_POSITIVITY = "q-positivity"
 REASON_QUADRIC = "quadric exception"
 REASON_TYPE_22 = "type-(2,2) exception"
 REASON_LINE_BUNDLE = "line bundle"
-REASON_DIMENSION_COUNT = "hypersurface dimension count"
 REASON_OUT_OF_HYPOTHESES = "out of theorem hypotheses"
 
 HYPOTHESIS_VERY_GENERAL = "X is very general"
@@ -120,12 +124,11 @@ def _det_twist_int(cfg: CIConfig) -> int:
 def deg_Z(cfg: CIConfig) -> Fraction:
     """Degree of the Ulrich surface/subvariety attached to a rank-r bundle.
 
-    deg(Z) = (r d / 24) [(3r-2) S^2 - 6(r-1) s S + 3(r-1) s^2 - s - 2 S2].
+    deg(Z) = r d bracket / 24 with bracket = ulrich_functions.deg_bracket(r, s, S, S2).
     Invariant under padding the degrees with 1's.
     """
-    r, s, S, S2 = cfg.r, cfg.s, cfg.S, cfg.S2
-    bracket = (3 * r - 2) * S * S - 6 * (r - 1) * s * S + 3 * (r - 1) * s * s - s - 2 * S2
-    return Fraction(r * cfg.d * bracket, 24)
+    bracket = deg_bracket(cfg.r, cfg.s, cfg.S, cfg.S2)
+    return Fraction(cfg.r * cfg.d * bracket, 24)
 
 
 def deg_Z_chern(cfg: CIConfig) -> Fraction:
@@ -200,7 +203,7 @@ def c2_E_coeff(cfg: CIConfig) -> tuple[Fraction, bool]:
     classes on X are integer multiples of H^2, so a non-integral e is itself
     non-existence evidence under those hypotheses.
     """
-    e = deg_Z(cfg) / cfg.d
+    e = Fraction(cfg.r * deg_bracket(cfg.r, cfg.s, cfg.S, cfg.S2), 24)
     return e, e.denominator == 1
 
 
@@ -224,47 +227,29 @@ class SurfaceData:
         return self.chi_noether - self.chi_hilbert
 
 
+def _surface_data(cfg: CIConfig, r: int) -> SurfaceData:
+    if cfg.n != 4 or cfg.r != r:
+        raise ValueError(f"rank-{r} surface data requires n = 4 and r = {r}")
+    cfgp = cfg.padded(4)
+    degz = deg_Z(cfgp)
+    chi0 = chi_OZ(cfgp, 0)
+    chi1 = chi_OZ(cfgp, 1) if r == 3 else None
+    invariants = surface_invariants(r, cfgp.s, cfgp.S, cfgp.S2, degz, chi0, chi1)
+    return SurfaceData(*invariants, chi_hilbert=chi0)
+
+
 def rank2_surface_data(cfg: CIConfig) -> SurfaceData:
     """Invariants of the rank-2 Ulrich surface on a fourfold complete intersection."""
-    if cfg.n != 4 or cfg.r != 2:
-        raise ValueError("rank-2 surface data requires n = 4 and r = 2")
-    cfgp = cfg.padded(4)
-    s, S, S2 = cfgp.s, cfgp.S, cfgp.S2
-    degz = deg_Z(cfgp)
-    kcoeff = 2 * S - 2 * s - 5
-    kz_h = kcoeff * degz
-    kz_sq = kcoeff * kcoeff * degz
-    c2_bracket = 120 + 115 * s + 27 * s * s - 120 * S - 54 * s * S + 32 * S * S - 10 * S2
-    c2_z = Fraction(c2_bracket, 12) * degz
-    chi_noether = (kz_sq + c2_z) / 12
-    chi_hilbert = chi_OZ(cfgp, 0)
-    return SurfaceData(kz_h, kz_sq, c2_z, chi_noether, chi_hilbert)
+    return _surface_data(cfg, 2)
 
 
 def rank3_surface_data(cfg: CIConfig) -> SurfaceData:
     """Invariants of the rank-3 Ulrich surface on a fourfold complete intersection.
 
-    K_Z.H comes from Riemann-Roch on Z, K_Z^2 from the vanishing of
-    [K_Z - (5/2)(S-s-2) H_Z]^2, c2(Z) from the Chern-class computation; the
-    Noether value is their combination.  Raises ParityError when u is not an
-    integer.
+    K_Z.H comes from Riemann-Roch on Z, so it needs chi(O_Z) and chi(O_Z(1));
+    raises ParityError when u is not an integer.
     """
-    if cfg.n != 4 or cfg.r != 3:
-        raise ValueError("rank-3 surface data requires n = 4 and r = 3")
-    cfgp = cfg.padded(4)
-    s, S, S2 = cfgp.s, cfgp.S, cfgp.S2
-    degz = deg_Z(cfgp)
-    chi0 = chi_OZ(cfgp, 0)
-    chi1 = chi_OZ(cfgp, 1)
-    kz_h = -2 * chi1 + 2 * chi0 + degz
-    a = S - s - 2
-    kz_sq = 5 * a * kz_h - Fraction(25, 4) * a * a * degz
-    c2_bracket = (
-        49 * S * S - 104 * s * S - 160 * S + 6 * S2 + 52 * s * s + 163 * s + 120
-    )
-    c2_z = (4 * S - 4 * s - 5) * kz_h - Fraction(c2_bracket, 8) * degz
-    chi_noether = (kz_sq + c2_z) / 12
-    return SurfaceData(kz_h, kz_sq, c2_z, chi_noether, chi0)
+    return _surface_data(cfg, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +285,7 @@ class Certificate:
         }
 
 
-def certify(n: int, degrees, r: int, min_pad: int = 4) -> Certificate:
+def certify(n: int, degrees, r: int) -> Certificate:
     """Decide Ulrich non-existence for rank r <= 3 on a complete intersection.
 
     Requires n >= 4, every degree >= 2 and r in {1, 2, 3}; raises ValueError
@@ -308,9 +293,9 @@ def certify(n: int, degrees, r: int, min_pad: int = 4) -> Certificate:
     projective space; the fourfold quadric (rank 2) and fourfold (2,2) types
     are excluded exceptions; dimensions above 4 reduce to 4 by hyperplane
     sections; then either the determinant-twist parity or the positivity of
-    the obstruction value d*q at the padded degree tuple certifies
-    non-existence.  Padding beyond the minimum changes witness values but
-    never the verdict.
+    the obstruction value d*q at the degree tuple padded to 4 entries
+    certifies non-existence.  Padding further would change witness values
+    but never the verdict.
     """
     degrees = tuple(int(x) for x in degrees)
     if n < 4:
@@ -324,57 +309,39 @@ def certify(n: int, degrees, r: int, min_pad: int = 4) -> Certificate:
         )
     if r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {r}")
-    if min_pad < 4:
-        raise ValueError("internal padding target must be at least 4")
 
     canonical = tuple(sorted(degrees, reverse=True))
     input_doc = {"n": n, "degrees": list(canonical), "r": r}
-    hypotheses: list[str] = []
-    if n == 4:
-        # At n = 4 the codimension-2 integrality needs Noether-Lefschetz
-        # genericity; in higher dimension Lefschetz gives it outright.
-        hypotheses = [HYPOTHESIS_VERY_GENERAL]
 
+    fixed = None
     if r == 1:
-        return Certificate(
-            input=input_doc,
-            verdict=NON_EXISTENCE,
-            reason=REASON_LINE_BUNDLE,
-            witnesses={
-                "note": "Ulrich line bundles exist only on linear projective "
-                "space; here deg X >= 2"
-            },
-            hypotheses=[],
+        fixed = (
+            NON_EXISTENCE,
+            REASON_LINE_BUNDLE,
+            "Ulrich line bundles exist only on linear projective space; here deg X >= 2",
         )
-
-    if n == 4 and canonical == (2,) and r == 2:
-        return Certificate(
-            input=input_doc,
-            verdict=EXCLUDED,
-            reason=REASON_QUADRIC,
-            witnesses={
-                "note": "the fourfold quadric carries rank-2 Ulrich bundles "
-                "(spinor bundles); it is the stated exception"
-            },
-            hypotheses=[],
+    elif n == 4 and canonical == (2,) and r == 2:
+        fixed = (
+            EXCLUDED,
+            REASON_QUADRIC,
+            "the fourfold quadric carries rank-2 Ulrich bundles (spinor bundles); "
+            "it is the stated exception",
         )
-
-    if n == 4 and canonical == (2, 2):
-        return Certificate(
-            input=input_doc,
-            verdict=EXCLUDED,
-            reason=REASON_TYPE_22,
-            witnesses={
-                "note": "fourfolds of type (2,2) are outside the certified "
-                "range; rank-2 Ulrich bundles exist on them"
-            },
-            hypotheses=[],
+    elif n == 4 and canonical == (2, 2):
+        fixed = (
+            EXCLUDED,
+            REASON_TYPE_22,
+            "fourfolds of type (2,2) are outside the certified range; rank-2 "
+            "Ulrich bundles exist on them",
         )
+    if fixed:
+        verdict, reason, note = fixed
+        return Certificate(input_doc, verdict, reason, {"note": note}, [])
 
     # Independence of n beyond 4: hyperplane sections restrict Ulrich bundles
     # to Ulrich bundles, so a rank-r bundle upstairs would induce one on the
     # fourfold section with the same degrees.
-    cfg = CIConfig(4, canonical, r).padded(min_pad)
+    cfg = CIConfig(4, canonical, r).padded(4)
 
     if parity_obstruction(cfg):
         u = det_twist(cfg)
@@ -409,20 +376,13 @@ def certify(n: int, degrees, r: int, min_pad: int = 4) -> Certificate:
         "e_integral": e_integral,
     }
     if w > 0:
-        return Certificate(
-            input=input_doc,
-            verdict=NON_EXISTENCE,
-            reason=REASON_Q_POSITIVITY,
-            witnesses=witnesses,
-            hypotheses=hypotheses,
-        )
-    return Certificate(
-        input=input_doc,
-        verdict=INCONCLUSIVE,
-        reason=REASON_OUT_OF_HYPOTHESES,
-        witnesses=witnesses,
-        hypotheses=hypotheses,
-    )
+        verdict, reason = NON_EXISTENCE, REASON_Q_POSITIVITY
+    else:
+        verdict, reason = INCONCLUSIVE, REASON_OUT_OF_HYPOTHESES
+    # At n = 4 the codimension-2 integrality needs Noether-Lefschetz
+    # genericity; in higher dimension Lefschetz gives it outright.
+    hypotheses = [HYPOTHESIS_VERY_GENERAL] if n == 4 else []
+    return Certificate(input_doc, verdict, reason, witnesses, hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +439,6 @@ class ResolutionData:
     h0_ideal_at_generator_degree: int
     h0_normal_bundle: int
 
-    def to_dict(self) -> dict:
-        return {
-            "generator_degree": self.generator_degree,
-            "generator_count": self.generator_count,
-            "syzygy_degree": self.syzygy_degree,
-            "syzygy_count": self.syzygy_count,
-            "socle_degree": self.socle_degree,
-            "h0_ideal_at_generator_degree": self.h0_ideal_at_generator_degree,
-            "h0_normal_bundle": self.h0_normal_bundle,
-        }
-
 
 def hypersurface_resolution(n: int, d: int) -> ResolutionData:
     """Resolution data of the rank-2 Ulrich locus Z in a degree-d hypersurface.
@@ -527,15 +476,6 @@ class DimensionCheck:
     lhs: int
     rhs: int
     contradiction: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "contradiction": self.contradiction,
-        }
 
 
 def hyper3_dimension_check(n: int, d: int) -> DimensionCheck:

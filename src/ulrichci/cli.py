@@ -23,6 +23,7 @@ from .ci_invariants import (
     NON_EXISTENCE,
     CIConfig,
     ParityError,
+    _frac_doc,
     c2X_coeff,
     c2_E_coeff,
     canonical_coeff,
@@ -292,7 +293,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     cfg = CIConfig(args.n, _parse_int_list(args.degrees), args.r)
-    u = det_twist(cfg)
     obstructed = parity_obstruction(cfg)
     e, e_integral = c2_E_coeff(cfg)
     m_low, m_high = args.m if args.m else (0, cfg.n)
@@ -308,10 +308,10 @@ def _cmd_invariants(args) -> int:
     invariants = {
         "K_X_coefficient": canonical_coeff(cfg),
         "c2_X_coefficient": c2X_coeff(cfg),
-        "u": int(u) if u.denominator == 1 else str(u),
+        "u": _frac_doc(det_twist(cfg)),
         "parity_obstruction": obstructed,
-        "deg_Z": int(deg_Z(cfg)) if deg_Z(cfg).denominator == 1 else str(deg_Z(cfg)),
-        "e": int(e) if e_integral else str(e),
+        "deg_Z": _frac_doc(deg_Z(cfg)),
+        "e": _frac_doc(e),
         "e_integral": e_integral,
     }
     doc = _base_doc(

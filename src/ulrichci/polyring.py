@@ -38,6 +38,14 @@ class NotDivisible(ValueError):
 _TERM_RE = re.compile(r"^x(\d+)\^(\d+)$")
 
 
+def _check_nvars(nvars) -> None:
+    """Raise the ValueError of the constructor unless 1 <= nvars <= MAX_VARS."""
+    if not isinstance(nvars, int) or nvars < 1:
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    if nvars > MAX_VARS:
+        raise ValueError(f"nvars={nvars} exceeds MAX_VARS={MAX_VARS}")
+
+
 def _exact(value) -> Fraction:
     """Fraction(value), refusing floats, which would enter as binary fractions."""
     if isinstance(value, float):
@@ -54,10 +62,7 @@ class MultiPoly:
     __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None):
-        if not isinstance(nvars, int) or nvars < 1:
-            raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
-        if nvars > MAX_VARS:
-            raise ValueError(f"nvars={nvars} exceeds MAX_VARS={MAX_VARS}")
+        _check_nvars(nvars)
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -279,6 +284,7 @@ class MultiPoly:
         """Reinterpret in a larger ring; new trailing variables do not occur."""
         if nvars < self.nvars:
             raise ValueError("extend target must have at least as many variables")
+        _check_nvars(nvars)
         pad = (0,) * (nvars - self.nvars)
         return MultiPoly._from_trusted(
             nvars, {e + pad: c for e, c in self._num.items()}, self._den

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import binom_int
-from .polyring import MultiPoly
+from .polyring import MultiPoly, _check_nvars
 from .report import FAIL, PASS, CheckResult
 
 #: Basis partitions in expansion order (a1..a12).
@@ -107,6 +107,7 @@ def monomial_sym(lam, s: int) -> MultiPoly:
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    _check_nvars(s)
     parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
     Partition(parts)  # validates shape
     return _monomial_sym(parts, s)

@@ -13,6 +13,11 @@ Q[s, p1, p2, p4]: s counts the degrees x1..xs and p_k = x1^k + ... + xs^k
 (Hirzebruch-Riemann-Roch needs no p3).  All but q are divisible by
 x1*...*xs, which the ring forms leave out.  An identity between ring forms
 holds for every s at once; build_*(s, ...) specialise the forms to s variables.
+
+The Noether route of the Ulrich surface (deg_bracket, surface_invariants)
+takes ring elements or exact numbers and runs the same arithmetic on either:
+the ring forms g4, delta, h, k, c, chi' and ci_invariants' numeric surface
+data both come from it.
 """
 
 from __future__ import annotations
@@ -68,28 +73,49 @@ def _f_form(r: int, m: int) -> MultiPoly:
     return _hrr_quotient(m) + _hrr_quotient(m - shift).scale(r - 1) + b_part
 
 
+def deg_bracket(r: int, s, m1, m11):
+    """The bracket with deg Z = r * d * bracket / 24 for the rank-r Ulrich surface Z.
+
+    s, m1 = x1 + ... + xs and m11 = sum_{i<j} x_i x_j are ints at a degree
+    tuple of product d, or the ring elements s, p1 and (p1^2 - p2)/2.
+    """
+    return (3 * r - 2) * m1 * m1 - 6 * (r - 1) * s * m1 + 3 * (r - 1) * s * s - s - 2 * m11
+
+
+def surface_invariants(r: int, s, m1, m11, deg, chi0=None, chi1=None) -> tuple:
+    """(K_Z.H_Z, K_Z^2, c2(Z), chi_Noether) of the rank-r Ulrich surface Z, r in {2, 3}.
+
+    s, m1 and m11 are as in deg_bracket and deg is deg Z; rank 3 also needs
+    chi0 = chi(O_Z) and chi1 = chi(O_Z(1)).  The result is exact for ints
+    and a Fraction deg, and a ring element for ring arguments (there deg,
+    chi0 and chi1 are divided by x1*...*xs, and so is the result).
+    """
+    if r == 2:
+        kz = 2 * m1 - 2 * s - 5  # K_Z = kz * H_Z
+        kz_h = kz * deg
+        kz_sq = kz * kz_h
+        c2_bracket = 120 + 115 * s + 27 * s * s - 120 * m1 - 54 * s * m1 + 32 * m1 * m1 - 10 * m11
+        c2_z = c2_bracket * deg * Fraction(1, 12)
+    elif r == 3:
+        # Riemann-Roch on Z gives K_Z.H_Z; [K_Z - (5/2) a H_Z]^2 = 0 gives K_Z^2.
+        kz_h = 2 * (chi0 - chi1) + deg
+        a = m1 - s - 2
+        kz_sq = 5 * a * kz_h - Fraction(25, 4) * a * a * deg
+        c2_bracket = 49 * m1 * m1 - 104 * s * m1 - 160 * m1 + 6 * m11 + 52 * s * s + 163 * s + 120
+        c2_z = (4 * m1 - 4 * s - 5) * kz_h - c2_bracket * deg * Fraction(1, 8)
+    else:
+        raise ValueError(f"surface invariants need r in {{2, 3}}, got {r}")
+    return kz_h, kz_sq, c2_z, (kz_sq + c2_z) * Fraction(1, 12)
+
+
 @lru_cache(maxsize=None)
 def _noether_forms() -> dict[str, MultiPoly]:
     """g4, delta, h, k, c and chi' over x1*...*xs, from the Noether-formula route."""
     s, m1, m11 = _S, _P1, (_P1 * _P1 - _P2) / 2
-    # Rank 2: deg Z = delta2 * (x1*...*xs), K_Z = (2*p1 - 2s - 5) H_Z and
-    # c2(Z) = (c2_rel / 12) * deg Z; Noether gives g4 = (K_Z^2 + c2(Z)) / 12.
-    delta2 = (4 * m1 * m1 - 6 * s * m1 + 3 * s * s - s - 2 * m11) / 12
-    kz2 = 2 * m1 - (2 * s + 5)
-    c2_rel = 120 + 115 * s + 27 * s * s - (120 + 54 * s) * m1 + 32 * m1 * m1 - 10 * m11
-    g4 = (kz2 * kz2 + c2_rel / 12) * delta2 / 12
-    delta = (7 * m1 * m1 - (12 * s) * m1 - 2 * m11 + (6 * s * s - s)).scale(Fraction(1, 8))
-    h = -2 * _f_form(3, 1) + 2 * _f_form(3, 0) + delta
-    shift = m1 - (s + 2)
-    k = 5 * shift * h - shift * shift * delta.scale(Fraction(25, 4))
-    bracket = (
-        49 * m1 * m1
-        - (104 * s + 160) * m1
-        + 6 * m11
-        + (52 * s * s + 163 * s + 120)
-    )
-    c = (4 * m1 - (4 * s + 5)) * h - bracket * delta.scale(Fraction(1, 8))
-    chi_prime = (k + c).scale(Fraction(1, 12))
+    delta2 = deg_bracket(2, s, m1, m11) * Fraction(2, 24)
+    g4 = surface_invariants(2, s, m1, m11, delta2)[3]
+    delta = deg_bracket(3, s, m1, m11) * Fraction(3, 24)
+    h, k, c, chi_prime = surface_invariants(3, s, m1, m11, delta, _f_form(3, 0), _f_form(3, 1))
     return {"g4": g4, "delta": delta, "h": h, "k": k, "c": c, "chi_prime": chi_prime}
 
 

@@ -35,7 +35,14 @@ from ulrichci.ci_invariants import (
     rank2_surface_data,
     rank3_surface_data,
 )
-from ulrichci.ulrich_functions import build_f, build_g4, build_h, q_value
+from ulrichci.ulrich_functions import (
+    GL4_CONSTANTS,
+    build_chi_prime,
+    build_f,
+    build_g4,
+    build_h,
+    q_value,
+)
 
 QUADRIC = CIConfig(4, (2,), 2)
 
@@ -251,14 +258,28 @@ def test_rank2_surface_data_type22():
 
 
 def test_rank2_mismatch_positive_on_grid():
-    for degs in [(2,), (3,), (4,), (2, 2), (3, 2), (2, 2, 2), (3, 2, 2, 2)]:
-        cfg = CIConfig(4, degs, 2)
-        data = rank2_surface_data(cfg)
-        padded = cfg.padded(4)
-        assert data.mismatch == Fraction(
-            padded.d * q_value(padded.degrees, 8), 4320
-        )
-        assert data.mismatch > 0
+    """Both ranks: the Noether and Hilbert routes differ by d*q/denominator (gl4).
+
+    Degrees 2..6, at most 4 of them, padded to 4: the 190 configurations
+    without a parity obstruction.  chi_noether also matches the ring form
+    built for gl4 (build_g4 or build_chi_prime) at the padded tuple.
+    """
+    noether_forms = {2: build_g4(4), 3: build_chi_prime(4)}
+    checked = 0
+    for length in range(1, 5):
+        for degs in combinations_with_replacement(range(6, 1, -1), length):
+            for r, surface_data in ((2, rank2_surface_data), (3, rank3_surface_data)):
+                cfg = CIConfig(4, degs, r)
+                if parity_obstruction(cfg):
+                    continue
+                data = surface_data(cfg)
+                padded = cfg.padded(4)
+                b, denom = GL4_CONSTANTS[r]
+                assert data.mismatch == Fraction(padded.d * q_value(padded.degrees, b), denom)
+                assert data.mismatch > 0
+                assert data.chi_noether == noether_forms[r].eval(padded.degrees)
+                checked += 1
+    assert checked == 190
 
 
 def test_rank2_surface_data_requires_n4_r2():
@@ -326,13 +347,15 @@ def test_certify_n4_carries_genericity_hypothesis():
 
 
 def test_certify_padding_invariance():
-    a = certify(5, (2,), 2, min_pad=4)
-    b = certify(5, (2,), 2, min_pad=6)
-    assert a.verdict == b.verdict == NON_EXISTENCE
-    assert a.witnesses["padded_degrees"] != b.witnesses["padded_degrees"]
+    cert = certify(5, (2,), 2)
+    assert cert.verdict == NON_EXISTENCE
+    cfg = CIConfig(4, (2,), 2)
+    a, b = cfg.padded(4), cfg.padded(6)
+    assert a.degrees != b.degrees
     # the obstruction value itself is padding-invariant: padding by a degree-1
     # entry adds r_b(1) = 0 to q
-    assert a.witnesses["d_times_q"] == b.witnesses["d_times_q"]
+    assert a.d * q_value(a.degrees, 8) == b.d * q_value(b.degrees, 8)
+    assert cert.witnesses["d_times_q"] == a.d * q_value(a.degrees, 8)
 
 
 def test_certify_rejects_bad_input():

@@ -439,6 +439,31 @@ def test_verify_report_digest(monkeypatch, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: certify and invariants requests over ranks 1-3, the quadric and (2,2)
+#: exceptions and parity-obstructed tuples; the sha256 of their concatenated
+#: --format json stdout pins the query path byte for byte.
+QUERY_GRID = [
+    (n, degrees, r)
+    for n in ("4", "5")
+    for degrees in ("2", "2,2", "3", "3,2", "4,3,2", "5,5,3,2,2")
+    for r in ("1", "2", "3")
+]
+QUERY_DIGESTS = {
+    "certify": "429a7e3d710db91b2141526907c76b01275c37d9f768aed8d1608d3557c2be45",
+    "invariants": "9280ddeb449bdc9296fe084e970da7210f1e3c72b222b83f52ef18a047eb3325",
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_DIGESTS))
+def test_query_report_digest(capsys, command):
+    digest = hashlib.sha256()
+    for n, degrees, r in QUERY_GRID:
+        argv = ["--n", n, "--degrees", degrees, "--r", r, "--format", "json"]
+        _, out = run(capsys, command, *argv)
+        digest.update(out.encode())
+    assert digest.hexdigest() == QUERY_DIGESTS[command]
+
+
 def test_verify_all_default_budget(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "all")
     assert code == 0

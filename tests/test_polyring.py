@@ -311,6 +311,11 @@ def test_extend():
     assert q.coefficient((1, 1, 0, 0)) == 1
 
 
+def test_extend_enforces_max_vars():
+    with pytest.raises(ValueError, match="nvars=13 exceeds MAX_VARS=12"):
+        x(0).extend(13)
+
+
 # -- serialization ------------------------------------------------------------------------
 
 

@@ -46,6 +46,11 @@ def test_partition_validation():
 # -- monomial symmetric polynomials -----------------------------------------------
 
 
+def test_monomial_sym_enforces_max_vars():
+    with pytest.raises(ValueError, match="nvars=16 exceeds MAX_VARS=12"):
+        monomial_sym((2, 1, 1), 16)
+
+
 def test_power_sum_three_vars():
     expected = sum(
         (MultiPoly.variable(3, i) * MultiPoly.variable(3, i) for i in range(3)),
