@@ -163,14 +163,27 @@ def chi_E(cfg: CIConfig, m: int) -> int:
     return int(value)
 
 
+def _subset_sum_signs(degrees: tuple[int, ...]) -> dict[int, int]:
+    """Coefficients of prod(1 - z^d_i): subset sum t -> sum of (-1)^|J|.
+
+    The inclusion-exclusion over the subsets J of the degrees, grouped by
+    t = sum(J); O(s * S) instead of 2^s.
+    """
+    coeffs = {0: 1}
+    for d in degrees:
+        step = dict(coeffs)
+        for t, c in coeffs.items():
+            step[t + d] = step.get(t + d, 0) - c
+        coeffs = step
+    return coeffs
+
+
 def chi_OX(cfg: CIConfig, m: int) -> int:
     """chi(O_X(m)) by inclusion-exclusion over the defining degrees."""
     N = cfg.n + cfg.s
     total = Fraction(0)
-    for k in range(cfg.s + 1):
-        sign = -1 if k % 2 else 1
-        for J in combinations(cfg.degrees, k):
-            total += sign * binom_int(m - sum(J) + N, N)
+    for t, c in _subset_sum_signs(cfg.degrees).items():
+        total += c * binom_int(m - t + N, N)
     return _as_int(total)
 
 
@@ -186,11 +199,10 @@ def chi_OZ(cfg: CIConfig, m: int) -> int:
     total = binom_int(m + N, N)
     total += (-1) ** (n + 1) * r * cfg.d * binom_int(u - m - 1, n)
     total += (-1) ** (n + s) * (r - 1) * binom_int(u - m - 1, N)
-    for k in range(1, s + 1):
-        sign = (-1) ** (k + n + s)
-        for J in combinations(cfg.degrees, k):
-            t = sum(J)
-            total += sign * (
+    sign = (-1) ** (n + s)
+    for t, c in _subset_sum_signs(cfg.degrees).items():
+        if t:  # the empty subset (t = 0) gives the first and third terms above
+            total += sign * c * (
                 binom_int(t - m - 1, N) + (r - 1) * binom_int(t + u - m - 1, N)
             )
     return _as_int(total)

@@ -222,17 +222,10 @@ def _run_suite(suite: str, args) -> list[CheckResult]:
 def _scan_checks(report: ScanReport) -> list[CheckResult]:
     checks = []
     for cell in report.cells:
-        witness = {
-            "tuples_checked": cell.tuples_checked,
-            "min_q": cell.min_q,
-            "min_tuple": list(cell.min_tuple) if cell.min_tuple else None,
-        }
-        if cell.violations:
-            witness["violations"] = [
-                {"degrees": list(t), "q": q} for t, q in cell.violations
-            ]
-        if cell.violations_omitted:
-            witness["violations_omitted"] = cell.violations_omitted
+        witness = cell.to_dict()
+        del witness["b"], witness["s"]
+        if not witness["violations"]:
+            del witness["violations"]
         checks.append(
             CheckResult(
                 lemma="cg/scan",
@@ -254,6 +247,8 @@ def _cmd_verify(args) -> int:
             f"--s-max must be at most {MAX_VARS - 1} for suite cg (MAX_VARS - 1), "
             f"got {args.s_max}"
         )
+    if "cg" in suites and (args.s_max < 2 or args.d_max < 2):
+        raise ValueError("scan needs s_max >= 2 and d_max >= 2")
     results: list[CheckResult] = []
     for suite in suites:
         results.extend(_run_suite(suite, args))
@@ -369,10 +364,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    b_values = _parse_int_list(args.b)
     report = verify_cg_scan(
         args.s_max,
         args.d_max,
-        b_values=_parse_int_list(args.b),
+        b_values=b_values,
         workers=args.workers,
         per_tuple=args.list_tuples,
     )
@@ -381,7 +377,7 @@ def _cmd_scan(args) -> int:
         {
             "s_max": args.s_max,
             "d_max": args.d_max,
-            "b": list(_parse_int_list(args.b)),
+            "b": list(b_values),
             "workers": args.workers,
         },
     )
@@ -428,6 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     common.add_argument("--output", help="write output to this path instead of stdout")
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--n", type=int, required=True)
+    query.add_argument("--degrees", required=True, help='comma separated, e.g. "2,3"')
+    query.add_argument("--r", type=int, required=True)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run identity verification suites"
@@ -445,26 +445,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="random polynomials per s (tf2bis)",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p_verify.add_argument("--workers", type=_positive_int)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_inv = sub.add_parser(
-        "invariants", parents=[common], help="print invariant and Euler tables"
+        "invariants", parents=[common, query], help="print invariant and Euler tables"
     )
-    p_inv.add_argument("--n", type=int, required=True)
-    p_inv.add_argument("--degrees", required=True, help='comma separated, e.g. "2,3"')
-    p_inv.add_argument("--r", type=int, required=True)
     p_inv.add_argument(
         "--m", type=_parse_range, default=None, help='twist range, e.g. "0..4"'
     )
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_cert = sub.add_parser(
-        "certify", parents=[common], help="emit a non-existence certificate"
+        "certify", parents=[common, query], help="emit a non-existence certificate"
     )
-    p_cert.add_argument("--n", type=int, required=True)
-    p_cert.add_argument("--degrees", required=True)
-    p_cert.add_argument("--r", type=int, required=True)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_scan = sub.add_parser(
@@ -473,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--s-max", type=int, required=True)
     p_scan.add_argument("--d-max", type=int, required=True)
     p_scan.add_argument("--b", default="8,9", help='comma separated, e.g. "8,9"')
-    p_scan.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p_scan.add_argument("--workers", type=_positive_int)
     p_scan.add_argument(
         "--list-tuples",
         action="store_true",
@@ -483,14 +477,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     argv = _glue_signed_values(sys.argv[1:] if argv is None else list(argv))
-    try:  # building the parser reads ULRICHCI_WORKERS, which may be invalid
-        args = _build_parser().parse_args(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
+        workers = _default_workers()
+        args = _PARSER.parse_args(argv)
+        if "workers" in args and args.workers is None:
+            args.workers = workers
         return args.func(args)
     except (ValueError, ParityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ data both come from it.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -694,7 +695,8 @@ def verify_cg_scan(
     task is the slice of a (b, s) cell with one leading entry; it walks its
     tuples in order as runs of equal entries with running power sums, so
     each q costs O(1) whatever s is.
-    With several workers all tasks go through one process pool.
+    With several workers all tasks go through one process pool of at most
+    os.cpu_count() processes.
     Results are folded in task order, so the report is identical for any
     worker count.  A cell keeps its first 1000 violations in scan order and
     counts the rest in violations_omitted; per-tuple values are kept only for
@@ -719,7 +721,8 @@ def verify_cg_scan(
         for lead in range(d_max, 1, -1)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-started pool forks all its workers at once: never more than the CPUs.
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_scan_slice, tasks))
     else:
         partials = list(map(_scan_slice, tasks))

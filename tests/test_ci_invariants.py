@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from ulrichci.ci_invariants import (
     rank2_surface_data,
     rank3_surface_data,
 )
+from ulrichci.exact_arith import binom_int
 from ulrichci.ulrich_functions import (
     GL4_CONSTANTS,
     build_chi_prime,
@@ -194,6 +195,65 @@ def test_chi_OZ_matches_euler_polynomial():
 def test_chi_OZ_parity_error():
     with pytest.raises(ParityError):
         chi_OZ(CIConfig(4, (4,), 3), 0)
+
+
+def _chi_OX_by_subsets(cfg, m):
+    """chi(O_X(m)) summed over all 2^s subsets J of the degrees."""
+    N = cfg.n + cfg.s
+    return sum(
+        (-1) ** k * binom_int(m - sum(J) + N, N)
+        for k in range(cfg.s + 1)
+        for J in combinations(cfg.degrees, k)
+    )
+
+
+def _chi_OZ_by_subsets(cfg, m):
+    """chi(O_Z(m)) with its sum over the 2^s - 1 non-empty subsets written out."""
+    n, s, r, u = cfg.n, cfg.s, cfg.r, int(det_twist(cfg))
+    N = n + s
+    total = binom_int(m + N, N)
+    total += (-1) ** (n + 1) * r * cfg.d * binom_int(u - m - 1, n)
+    total += (-1) ** (n + s) * (r - 1) * binom_int(u - m - 1, N)
+    for k in range(1, s + 1):
+        for J in combinations(cfg.degrees, k):
+            t = sum(J)
+            total += (-1) ** (k + n + s) * (
+                binom_int(t - m - 1, N) + (r - 1) * binom_int(t + u - m - 1, N)
+            )
+    return total
+
+
+def test_euler_characteristics_match_subset_enumeration():
+    for n in (2, 5):
+        for s in range(1, 6):
+            for degs in combinations_with_replacement(range(4, 0, -1), s):
+                if degs[0] < 2:
+                    continue
+                for r in (2, 3):
+                    cfg = CIConfig(n, degs, r)
+                    for m in range(-5, 6):
+                        assert chi_OX(cfg, m) == _chi_OX_by_subsets(cfg, m), (cfg, m)
+                        if not parity_obstruction(cfg):
+                            assert chi_OZ(cfg, m) == _chi_OZ_by_subsets(cfg, m), (cfg, m)
+
+
+def test_euler_characteristics_polynomial_in_s(monkeypatch):
+    # 20 degrees equal to 2 have 21 subset sums, against 2^20 subsets.
+    import ulrichci.ci_invariants as ci
+
+    calls = []
+
+    def counting_binom(ell, m):
+        calls.append((ell, m))
+        return binom_int(ell, m)
+
+    monkeypatch.setattr(ci, "binom_int", counting_binom)
+    cfg = CIConfig(4, (2,) * 20, 2)
+    chi_OX(cfg, 1)
+    assert len(calls) == 21
+    calls.clear()
+    chi_OZ(cfg, 1)
+    assert len(calls) == 3 + 2 * 20
 
 
 def test_theorem_consistency_identity():

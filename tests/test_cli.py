@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import argparse
 import builtins
 import hashlib
 import json
@@ -61,8 +62,10 @@ def test_verify_range_below_suite_minimum(capsys):
         (["--suite", "gl4", "--s", "4..13"], "--s must be at most 12 (MAX_VARS), got 13"),
         (["--s", "13"], "--s must be at most 12 (MAX_VARS), got 13"),
         (["--suite", "cg", "--s-max", "12"], "--s-max must be at most 11 for suite cg"),
+        (["--d-max", "1", "--s", "5..8"], "scan needs s_max >= 2 and d_max >= 2\n"),
+        (["--suite", "cg", "--s-max", "1"], "scan needs s_max >= 2 and d_max >= 2\n"),
     ],
-    ids=["gl4", "all", "cg"],
+    ids=["gl4", "all", "cg", "all-d-max", "cg-s-max"],
 )
 def test_verify_beyond_max_vars_exits_2_before_work(monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
@@ -73,6 +76,11 @@ def test_verify_beyond_max_vars_exits_2_before_work(monkeypatch, capsys, argv, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_verify_scan_range_ignored_without_cg(capsys):
+    code, doc = run_json(capsys, "verify", "--suite", "gl4", "--s", "4", "--d-max", "1")
+    assert code == 0 and doc["status"] == "pass"
 
 
 def test_verify_largest_sizes_within_max_vars(capsys):
@@ -368,21 +376,44 @@ def test_invalid_invariants_input_exits_2(capsys):
     assert main(["invariants", "--n", "4", "--degrees", "1", "--r", "2"]) == 2
 
 
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(_CERTIFY) == 0
+    assert main(["invariants", "--n", "4", "--degrees", "3,2", "--r", "2"]) == 0
+    assert built == []
+
+
 def test_workers_env_var_sets_default(monkeypatch, capsys):
     monkeypatch.setenv("ULRICHCI_WORKERS", "2")
-    from ulrichci.cli import _build_parser
-
-    args = _build_parser().parse_args(["scan", "--s-max", "2", "--d-max", "2"])
-    assert args.workers == 2
+    scan = ("scan", "--s-max", "2", "--d-max", "2")
+    code, doc = run_json(capsys, *scan)
+    assert code == 0 and doc["parameters"]["workers"] == 2
+    code, doc = run_json(capsys, *scan, "--workers", "1")
+    assert code == 0 and doc["parameters"]["workers"] == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
 def test_invalid_workers_env_var_exits_2(monkeypatch, capsys, value):
     monkeypatch.setenv("ULRICHCI_WORKERS", value)
-    assert main(["scan", "--s-max", "2", "--d-max", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ULRICHCI_WORKERS must be a positive integer")
+    for command in (
+        ["scan", "--s-max", "2", "--d-max", "2"],
+        ["verify", "--suite", "cg"],
+        ["invariants", "--n", "4", "--degrees", "3,2", "--r", "2"],
+        _CERTIFY,
+    ):
+        assert main(command) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: ULRICHCI_WORKERS must be a positive integer"
+        )
 
 
 @pytest.mark.parametrize(

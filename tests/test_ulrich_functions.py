@@ -330,6 +330,32 @@ def test_scan_uses_one_pool(monkeypatch):
     assert len(entered) == 1
 
 
+@pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
+def test_scan_pool_capped_at_cpu_count(monkeypatch, cpus, size):
+    # A stub pool that maps serially: the test starts no process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(ulrich_functions, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(ulrich_functions.os, "cpu_count", lambda: cpus)
+    report = verify_cg_scan(4, 5, workers=100_000)
+    assert sizes == [size]
+    assert report.to_dict() == verify_cg_scan(4, 5, workers=1).to_dict()
+    verify_cg_scan(4, 5, workers=2)
+    assert sizes == [size, min(2, size)]
+
+
 def test_iter_degree_tuples_order():
     for s in (1, 2, 3, 5):
         for d_max in (1, 2, 4):
