@@ -6,6 +6,8 @@ inclusion-exclusion binomial sums directly through binom_poly, term by term,
 so the two paths are fully independent.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,10 +17,18 @@ from math import comb
 
 import pytest
 
-from ulrichci import ulrich_functions
+from ulrichci import symfunc, ulrich_functions
 from ulrichci.exact_arith import binom_int, binom_poly
 from ulrichci.polyring import MultiPoly, NotDivisible
-from ulrichci.symfunc import expand_direct, monomial_sym
+from ulrichci.symfunc import (
+    SymExpansion,
+    expand_direct,
+    expand_via_restriction,
+    monomial_sym,
+    restriction_coefficients,
+    verify_tf2_table,
+    verify_tf2bis,
+)
 from ulrichci.ulrich_functions import (
     GL4_CONSTANTS,
     SUPPORTED_PAIRS,
@@ -283,6 +293,85 @@ def test_import_builds_no_power_sum_form():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# -- failing records ------------------------------------------------------------------
+
+
+def _failing_records(monkeypatch):
+    """Verifier records with builders perturbed inside the basis span, in a fixed order."""
+    uf = ulrich_functions
+    records = []
+
+    def f_plus_all_vars(s, r, m):
+        f = build_f(s, r, m)
+        return f + MultiPoly.const(s, 1).times_all_vars() if (r, m) == (2, 0) and s >= 3 else f
+
+    with monkeypatch.context() as mp:
+        mp.setattr(uf, "build_f", f_plus_all_vars)
+        records += verify_tf0(4, 2, 0) + verify_gl1(4) + verify_gl1(5) + verify_gl4(4)
+    with monkeypatch.context() as mp:
+        mp.setattr(uf, "build_f", lambda s, r, m: build_f(s, r, m) + 1)
+        records += verify_tf1(3, 2, 0)
+    with monkeypatch.context() as mp:
+        g4 = lambda s: build_g4(s) + MultiPoly.const(s, 3).times_all_vars()  # noqa: E731
+        mp.setitem(uf._DERIVED_BUILDERS, "g4", g4)
+        mp.setattr(uf, "build_g4", g4)
+        records += [c for s in range(1, 6) for c in verify_gl2(s)] + verify_gl4(5)
+    with monkeypatch.context() as mp:
+        mp.setattr(uf, "build_q", lambda s, b: build_q(s, b) + (1 if s == 4 else 0))
+        records += verify_cg_induction(3, 8) + verify_cg_induction(4, 9)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            symfunc,
+            "monomial_sym",
+            lambda lam, s: monomial_sym(lam, s) + (1 if tuple(lam) == (2, 2) else 0),
+        )
+        records += verify_tf2_table(4)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            symfunc,
+            "restriction_coefficients",
+            lambda coeffs, s: tuple(c + 1 for c in restriction_coefficients(coeffs, s)),
+        )
+        records += verify_tf2bis(5, samples=3)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            symfunc,
+            "expand_via_restriction",
+            lambda G: SymExpansion(G.nvars, [c + 1 for c in expand_via_restriction(G).coeffs]),
+        )
+        records += verify_tf2bis(5, samples=3)
+    for b in (-100, 0, 1, 2):
+        records += verify_cg_induction(3, b)
+    return records
+
+
+def test_failing_records_digest(monkeypatch):
+    # Pins every failure path's witness byte for byte, as the passing
+    # reports are pinned in test_cli.
+    records = _failing_records(monkeypatch)
+    failed = sorted({r.lemma for r in records if not r.ok})
+    assert failed == [
+        "cg/all-ones-step",
+        "cg/derivative",
+        "gl1(1)",
+        "gl2(1)",
+        "gl3",
+        "gl4(1)",
+        "tf0(2)",
+        "tf1",
+        "tf2(11)",
+        "tf2(12)",
+        "tf2(3)",
+        "tf2(5)",
+        "tf2(6)",
+        "tf2(8)",
+        "tf2-bis/expansion-agreement",
+        "tf2-bis/rel-reconstruction",
+    ]
+    doc = json.dumps([r.to_dict() for r in records])
+    assert hashlib.sha256(doc.encode()).hexdigest() == "831f73852f2f140aa74dd089f92735287ef6dab83f7a0f7207b40de09512ca70"
 
 
 # -- positivity scan and induction ----------------------------------------------------------------
