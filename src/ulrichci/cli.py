@@ -36,7 +36,7 @@ from .ci_invariants import (
     parity_obstruction,
 )
 from .polyring import MAX_VARS
-from .report import CheckResult, all_ok, summarize
+from .report import FAIL, PASS, CheckResult, all_ok, summarize
 from .symfunc import verify_tf2_table, verify_tf2bis
 from .ulrich_functions import (
     GL4_CONSTANTS,
@@ -52,6 +52,9 @@ from .ulrich_functions import (
 )
 
 SCHEMA_VERSION = 1
+
+#: Most twists one invariants table may hold, so a huge --m fails before any work.
+MAX_TWISTS = 10_000
 
 SUITES = ("all", "tf0", "tf1", "tf2", "tf2bis", "gl1", "gl2", "gl4", "cg")
 
@@ -230,7 +233,7 @@ def _scan_checks(report: ScanReport) -> list[CheckResult]:
             CheckResult(
                 lemma="cg/scan",
                 parameters={"b": cell.b, "s": cell.s, "d_max": report.d_max},
-                status="pass" if cell.ok else "fail",
+                status=PASS if cell.ok else FAIL,
                 witness=witness,
             )
         )
@@ -253,7 +256,7 @@ def _cmd_verify(args) -> int:
     for suite in suites:
         results.extend(_run_suite(suite, args))
     summary = summarize(results)
-    status = "pass" if all_ok(results) else "fail"
+    status = PASS if all_ok(results) else FAIL
     doc = _base_doc(
         "verify",
         {
@@ -278,7 +281,7 @@ def _cmd_verify(args) -> int:
         + (f", {summary['failed']} FAILED" if summary["failed"] else "")
     )
     _emit(doc, "\n".join(lines), args)
-    return 0 if status == "pass" else 1
+    return 0 if status == PASS else 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +291,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     cfg = CIConfig(args.n, _parse_int_list(args.degrees), args.r)
+    m_low, m_high = args.m if args.m else (0, cfg.n)
+    if m_high - m_low >= MAX_TWISTS:
+        raise ValueError(f"--m spans {m_high - m_low + 1} twists; at most {MAX_TWISTS}")
     obstructed = parity_obstruction(cfg)
     e, e_integral = c2_E_coeff(cfg)
-    m_low, m_high = args.m if args.m else (0, cfg.n)
     table = []
     for m in range(m_low, m_high + 1):
         row = {

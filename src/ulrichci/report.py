@@ -28,6 +28,23 @@ class CheckResult:
         return doc
 
 
+def check(
+    lemma: str, parameters: dict, ok: bool, witness: dict | None = None
+) -> CheckResult:
+    """A PASS record without a witness, or a FAIL record carrying witness."""
+    if ok:
+        return CheckResult(lemma, parameters)
+    return CheckResult(lemma, parameters, FAIL, witness)
+
+
+def compare(lemma: str, parameters: dict, lhs, rhs) -> CheckResult:
+    """The check lhs == rhs; a failure's witness is the difference lhs - rhs as text."""
+    if lhs == rhs:
+        return CheckResult(lemma, parameters)
+    difference = (lhs - rhs).to_string()
+    return CheckResult(lemma, parameters, FAIL, {"difference": difference})
+
+
 def all_ok(results: list[CheckResult]) -> bool:
     return all(r.ok for r in results)
 

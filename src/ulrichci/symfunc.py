@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import binom_int
 from .polyring import MultiPoly, _check_nvars
-from .report import FAIL, PASS, CheckResult
+from .report import CheckResult, check, compare
 
 #: Basis partitions in expansion order (a1..a12).
 BASIS: tuple[tuple[int, ...], ...] = (
@@ -297,18 +297,7 @@ def verify_tf2_table(s: int) -> list[CheckResult]:
         ("12", m2 * m2, m4 + 2 * m22),
         ("13", m2 * m11, m31 + m211),
     ]
-    results = []
-    for label, lhs, rhs in table:
-        ok = lhs == rhs
-        results.append(
-            CheckResult(
-                lemma=f"tf2({label})",
-                parameters={"s": s},
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"difference": (lhs - rhs).to_string()},
-            )
-        )
-    return results
+    return [compare(f"tf2({label})", {"s": s}, lhs, rhs) for label, lhs, rhs in table]
 
 
 def substitution_identities(s: int) -> list[CheckResult]:
@@ -362,18 +351,9 @@ def substitution_identities(s: int) -> list[CheckResult]:
             _m((2, 1), 4) + t * _m((2,), 4) + t * _m((1,), 4) + t * (t - 1) * one4,
         )
     )
-    results = []
-    for label, lhs, rhs in checks:
-        ok = lhs == rhs
-        results.append(
-            CheckResult(
-                lemma=f"tf2-bis/{label}",
-                parameters={"s": s},
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"difference": (lhs - rhs).to_string()},
-            )
-        )
-    return results
+    return [
+        compare(f"tf2-bis/{label}", {"s": s}, lhs, rhs) for label, lhs, rhs in checks
+    ]
 
 
 def random_expansion(s: int, rng: random.Random) -> SymExpansion:
@@ -416,20 +396,8 @@ def verify_tf2bis(s: int, samples: int = 25, seed: int = 0) -> list[CheckResult]
             agree_ok = False
             witness = {"coeffs": [str(c) for c in expansion.coeffs]}
             break
-    results.append(
-        CheckResult(
-            lemma="tf2-bis/rel-reconstruction",
-            parameters={"s": s, "samples": samples},
-            status=PASS if rel_ok else FAIL,
-            witness=None if rel_ok else witness,
-        )
-    )
-    results.append(
-        CheckResult(
-            lemma="tf2-bis/expansion-agreement",
-            parameters={"s": s, "samples": samples},
-            status=PASS if agree_ok else FAIL,
-            witness=None if agree_ok else witness,
-        )
-    )
-    return results
+    params = {"s": s, "samples": samples}
+    return results + [
+        check("tf2-bis/rel-reconstruction", params, rel_ok, witness),
+        check("tf2-bis/expansion-agreement", params, agree_ok, witness),
+    ]

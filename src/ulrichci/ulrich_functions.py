@@ -32,7 +32,7 @@ from math import comb, prod
 
 from .exact_arith import binom_poly
 from .polyring import MultiPoly, NotDivisible
-from .report import FAIL, PASS, CheckResult
+from .report import CheckResult, check, compare
 from .symfunc import BASIS, expand_direct, monomial_sym
 
 SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
@@ -214,48 +214,48 @@ def closed_form_f_coefficients(r: int, m: int, s: int) -> tuple[int, tuple]:
     half = Fraction(1, 2)
     if (r, m) == (2, 0):
         return 360, (
-            Fraction(66),
-            Fraction(225),
-            Fraction(320),
-            Fraction(600),
-            Fraction(1125),
-            Fraction(-75 * (3 * s + 4)),
-            Fraction(-150 * (4 * s + 5)),
-            Fraction(-225 * (5 * s + 6)),
-            Fraction(10 * (30 * s * s + 73 * s + 35)),
+            66,
+            225,
+            320,
+            600,
+            1125,
+            -75 * (3 * s + 4),
+            -150 * (4 * s + 5),
+            -225 * (5 * s + 6),
+            10 * (30 * s * s + 73 * s + 35),
             75 * half * (15 * s * s + 35 * s + 14),
             -75 * half * s * (s + 1) * (5 * s + 12),
             Fraction(s, 8) * (375 * s**3 + 1650 * s**2 + 1505 * s - 698),
         )
     if (r, m) == (3, 0):
         return 1920, (
-            Fraction(1683),
-            Fraction(6060),
-            Fraction(8770),
-            Fraction(16860),
-            Fraction(32400),
-            Fraction(-60 * (101 * s + 95)),
-            Fraction(-60 * (281 * s + 255)),
-            Fraction(-3600 * (9 * s + 8)),
-            Fraction(10 * (843 * s * s + 1496 * s + 490)),
-            Fraction(60 * (270 * s * s + 469 * s + 140)),
-            Fraction(-60 * s * (90 * s * s + 229 * s + 125)),
-            Fraction(s * (1350 * s**3 + 4470 * s**2 + 3305 * s - 698)),
+            1683,
+            6060,
+            8770,
+            16860,
+            32400,
+            -60 * (101 * s + 95),
+            -60 * (281 * s + 255),
+            -3600 * (9 * s + 8),
+            10 * (843 * s * s + 1496 * s + 490),
+            60 * (270 * s * s + 469 * s + 140),
+            -60 * s * (90 * s * s + 229 * s + 125),
+            s * (1350 * s**3 + 4470 * s**2 + 3305 * s - 698),
         )
     if (r, m) == (3, 1):
         return 1920, (
-            Fraction(1683),
-            Fraction(6060),
-            Fraction(8770),
-            Fraction(16860),
-            Fraction(32400),
-            Fraction(-60 * (101 * s + 133)),
-            Fraction(-60 * (281 * s + 357)),
-            Fraction(-720 * (45 * s + 56)),
-            Fraction(10 * (843 * s * s + 2108 * s + 994)),
-            Fraction(60 * (270 * s * s + 661 * s + 284)),
-            Fraction(-60 * s * (90 * s * s + 325 * s + 263)),
-            Fraction(s * (1350 * s**3 + 6390 * s**2 + 7265 * s - 1418)),
+            1683,
+            6060,
+            8770,
+            16860,
+            32400,
+            -60 * (101 * s + 133),
+            -60 * (281 * s + 357),
+            -720 * (45 * s + 56),
+            10 * (843 * s * s + 2108 * s + 994),
+            60 * (270 * s * s + 661 * s + 284),
+            -60 * s * (90 * s * s + 325 * s + 263),
+            s * (1350 * s**3 + 6390 * s**2 + 7265 * s - 1418),
         )
     raise ValueError(f"no closed form for (r, m) = ({r}, {m})")
 
@@ -358,8 +358,7 @@ def closed_form_derived_coefficients(name: str, s: int) -> tuple[Fraction, tuple
     }
     if name not in tables:
         raise ValueError(f"unknown derived function {name!r}")
-    prefactor, coeffs = tables[name]
-    return prefactor, tuple(Fraction(c) for c in coeffs)
+    return tables[name]
 
 
 _DERIVED_BUILDERS = {
@@ -384,22 +383,10 @@ def verify_tf0(s: int, r: int, m: int) -> list[CheckResult]:
     1 reproduces f in k variables, for every 1 <= k < s.
     """
     f = build_f(s, r, m)
-    results = [
-        CheckResult(
-            lemma="tf0(1)",
-            parameters={"s": s, "r": r, "m": m},
-            status=PASS if f.is_symmetric() else FAIL,
-        )
-    ]
+    results = [check("tf0(1)", {"s": s, "r": r, "m": m}, f.is_symmetric())]
     for k in range(1, s):
         ok = f.substitute_ones(k) == build_f(k, r, m)
-        results.append(
-            CheckResult(
-                lemma="tf0(2)",
-                parameters={"s": s, "k": k, "r": r, "m": m},
-                status=PASS if ok else FAIL,
-            )
-        )
+        results.append(check("tf0(2)", {"s": s, "k": k, "r": r, "m": m}, ok))
     return results
 
 
@@ -410,34 +397,41 @@ def verify_tf1(s: int, r: int, m: int) -> list[CheckResult]:
     """
     try:
         build_f(s, r, m).divide_all_vars()
-        status, witness = PASS, None
+        witness = None
     except NotDivisible as exc:  # carries the offending term
-        status, witness = FAIL, {"error": str(exc)}
-    return [
-        CheckResult(
-            lemma="tf1",
-            parameters={"s": s, "r": r, "m": m},
-            status=status,
-            witness=witness,
-        )
-    ]
+        witness = {"error": str(exc)}
+    return [check("tf1", {"s": s, "r": r, "m": m}, witness is None, witness)]
 
 
-def _match_expansion(
-    lemma: str, parameters: dict, poly: MultiPoly, expected: tuple
+def _match_table(
+    lemma: str, parameters: dict, built: MultiPoly, prefactor: Fraction, coeffs: tuple
 ) -> CheckResult:
-    actual = expand_direct(poly).coeffs
-    expected = tuple(Fraction(c) for c in expected)
-    if actual == expected:
-        return CheckResult(lemma=lemma, parameters=parameters, status=PASS)
+    """Check built == prefactor * (x1..xs) * (the basis combination with coeffs).
+
+    For s >= 4 the coefficients of built / (prefactor * x1..xs) are matched
+    one by one in the basis, and a built polynomial that is not divisible by
+    x1..xs or has no expansion fails with the error.  For s in {1, 2, 3} the
+    basis degenerates, so the combination is rebuilt with the convention
+    m_lambda(s) = 0 for long partitions and compared as a raw polynomial.
+    """
+    s = built.nvars
+    if s < 4:
+        expected = MultiPoly.zero(s)
+        for coeff, lam in zip(coeffs, BASIS):
+            if coeff:
+                expected = expected + monomial_sym(lam, s).scale(coeff)
+        expected = expected.scale(prefactor).times_all_vars()
+        return compare(lemma, parameters, built, expected)
+    try:
+        actual = expand_direct(built.divide_all_vars() / prefactor).coeffs
+    except ValueError as exc:  # NotDivisible, NotSymmetric or outside the basis span
+        return check(lemma, parameters, False, {"error": str(exc)})
     mismatches = {
-        f"a{i + 1}": {"actual": str(a), "expected": str(e)}
-        for i, (a, e) in enumerate(zip(actual, expected))
+        f"a{i}": {"actual": str(a), "expected": str(e)}
+        for i, (a, e) in enumerate(zip(actual, map(Fraction, coeffs)), start=1)
         if a != e
     }
-    return CheckResult(
-        lemma=lemma, parameters=parameters, status=FAIL, witness=mismatches
-    )
+    return check(lemma, parameters, not mismatches, mismatches)
 
 
 def verify_gl1(s: int) -> list[CheckResult]:
@@ -446,12 +440,11 @@ def verify_gl1(s: int) -> list[CheckResult]:
         raise ValueError(f"gl1 verification needs s >= 4, got {s}")
     results = []
     for idx, (r, m) in enumerate(SUPPORTED_PAIRS, start=1):
-        denom, expected = closed_form_f_coefficients(r, m, s)
-        quotient = build_f(s, r, m).divide_all_vars() * denom
+        denom, coeffs = closed_form_f_coefficients(r, m, s)
+        built = build_f(s, r, m)
+        params = {"s": s, "r": r, "m": m}
         results.append(
-            _match_expansion(
-                f"gl1({idx})", {"s": s, "r": r, "m": m}, quotient, expected
-            )
+            _match_table(f"gl1({idx})", params, built, Fraction(1, denom), coeffs)
         )
     return results
 
@@ -459,40 +452,16 @@ def verify_gl1(s: int) -> list[CheckResult]:
 def verify_gl2(s: int) -> list[CheckResult]:
     """Compare the six derived functions against their published expansions.
 
-    For s >= 4 coefficients are matched one by one in the basis; for
-    s in {1, 2, 3} the basis degenerates, so the published combination is
-    reconstructed with the convention m_lambda(s) = 0 for long partitions and
-    compared as a raw polynomial.
+    Below s = 4 the basis degenerates and the comparison is a raw polynomial
+    one (see _match_table).
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     results = []
     for idx, (name, build) in enumerate(_DERIVED_BUILDERS.items(), start=1):
-        built = build(s)
         prefactor, coeffs = closed_form_derived_coefficients(name, s)
         params = {"s": s, "function": name}
-        if s >= 4:
-            quotient = built.divide_all_vars() / prefactor
-            results.append(
-                _match_expansion(f"gl2({idx})", params, quotient, coeffs)
-            )
-        else:
-            expected = MultiPoly.zero(s)
-            for coeff, lam in zip(coeffs, BASIS):
-                if coeff:
-                    expected = expected + monomial_sym(lam, s).scale(coeff)
-            expected = expected.scale(prefactor).times_all_vars()
-            ok = built == expected
-            results.append(
-                CheckResult(
-                    lemma=f"gl2({idx})",
-                    parameters=params,
-                    status=PASS if ok else FAIL,
-                    witness=None
-                    if ok
-                    else {"difference": (built - expected).to_string()},
-                )
-            )
+        results.append(_match_table(f"gl2({idx})", params, build(s), prefactor, coeffs))
     return results
 
 
@@ -510,15 +479,7 @@ def verify_gl4(s: int) -> list[CheckResult]:
         b, denominator = GL4_CONSTANTS[r]
         lhs = noether - build_f(s, r, 0)
         rhs = (build_q(s, b) / denominator).times_all_vars()
-        ok = lhs == rhs
-        results.append(
-            CheckResult(
-                lemma=label,
-                parameters={"s": s},
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"difference": (lhs - rhs).to_string()},
-            )
-        )
+        results.append(compare(label, {"s": s}, lhs, rhs))
     return results
 
 
@@ -745,7 +706,10 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
 
     (a) the recursion q_{s+1,b} = q_{s,b} + r_b(x_{s+1}) as an exact
     identity in s+1 variables, (b) r_b(1) = 0 with the quadratic power sum
-    kept formal, and (c) positivity of d/dt r_b on sampled integer data.
+    kept formal, (c) positivity of d/dt r_b on sampled integer data, and
+    (d) positivity of r_b(d) at the all-ones tuple for d = 2..6.  (c) and (d)
+    prove nothing outside their samples.  Each records its first
+    counterexample in sampling order.
     """
     if s < 2:
         raise ValueError(f"induction checks need s >= 2, got {s}")
@@ -754,71 +718,35 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
         # q_{s+1,b} - q_{s,b} at x_{s+1} = t, where m2 = x1^2 + ... + xs^2.
         return b * t * t * t * t + 10 * t * t * (m2 - (s + 1)) - 10 * m2 + (10 * s - b + 10)
 
-    results = []
     m2_low = monomial_sym((2,), s).extend(s + 1)
     r_part = r_b(MultiPoly.variable(s + 1, s), m2_low)
     recursion_ok = build_q(s + 1, b) == build_q(s, b).extend(s + 1) + r_part
-    results.append(
-        CheckResult(
-            lemma="gl3",
-            parameters={"s": s, "b": b},
-            status=PASS if recursion_ok else FAIL,
-        )
-    )
+    results = [check("gl3", {"s": s, "b": b}, recursion_ok)]
 
     # r_b(1) = 0 identically in the power-sum value: work in variables (M, t)
     # with M formal, substitute t = 1.
     at_one = r_b(MultiPoly.variable(2, 1), MultiPoly.variable(2, 0)).substitute_ones(1)
-    results.append(
-        CheckResult(
-            lemma="cg/r_b(1)=0",
-            parameters={"s": s, "b": b},
-            status=PASS if at_one.is_zero else FAIL,
-            witness=None if at_one.is_zero else {"residual": at_one.to_string()},
-        )
-    )
+    residual = {"residual": at_one.to_string()}
+    results.append(check("cg/r_b(1)=0", {"s": s, "b": b}, at_one.is_zero, residual))
 
     # Derivative d/dt r_b = 4bt^3 + 20t(m2 - s - 1) > 0 for t >= 1 whenever the
     # data satisfies m2 >= s + 1; sample tuples with product >= 2 guarantee it.
-    deriv_ok = True
-    deriv_witness = None
-    for tup in _iter_degree_tuples(s, 3):
-        m2 = sum(d * d for d in tup)
-        if m2 < s + 1:
-            continue
-        for t in range(1, 5):
-            value = 4 * b * t**3 + 20 * t * (m2 - s - 1)
-            if value <= 0:
-                deriv_ok = False
-                deriv_witness = {"degrees": list(tup), "t": t, "derivative": value}
-                break
-        if not deriv_ok:
-            break
-    results.append(
-        CheckResult(
-            lemma="cg/derivative",
-            parameters={"s": s, "b": b},
-            status=PASS if deriv_ok else FAIL,
-            witness=deriv_witness,
-        )
+    witness = next(
+        (
+            {"degrees": list(tup), "t": t, "derivative": value}
+            for tup in _iter_degree_tuples(s, 3)
+            if (m2 := sum(d * d for d in tup)) >= s + 1
+            for t in range(1, 5)
+            if (value := 4 * b * t**3 + 20 * t * (m2 - s - 1)) <= 0
+        ),
+        None,
     )
+    results.append(check("cg/derivative", {"s": s, "b": b}, witness is None, witness))
 
     # Base behaviour at the all-ones tuple (m2 = s): r_b(d) = b d^4 - 10 d^2 - b + 10
     # must be positive for every d >= 2.
-    base_ok = True
-    base_witness = None
-    for d in range(2, 7):
-        value = r_b(d, s)
-        if value <= 0:
-            base_ok = False
-            base_witness = {"d": d, "r_b": value}
-            break
-    results.append(
-        CheckResult(
-            lemma="cg/all-ones-step",
-            parameters={"s": s, "b": b},
-            status=PASS if base_ok else FAIL,
-            witness=base_witness,
-        )
+    witness = next(
+        ({"d": d, "r_b": value} for d in range(2, 7) if (value := r_b(d, s)) <= 0), None
     )
+    results.append(check("cg/all-ones-step", {"s": s, "b": b}, witness is None, witness))
     return results

@@ -10,9 +10,10 @@ import threading
 
 import pytest
 
-from ulrichci import cli
+from ulrichci import cli, ulrich_functions
 from ulrichci.cli import _scan_checks, main
-from ulrichci.ulrich_functions import verify_cg_scan
+from ulrichci.polyring import MultiPoly
+from ulrichci.ulrich_functions import build_f, build_g4, verify_cg_scan
 
 
 def run(capsys, *argv):
@@ -105,6 +106,28 @@ def test_verify_all_clips_range_to_each_suite_minimum(capsys):
     assert s_seen["tf0"] == s_seen["gl2"] == {1, 2, 3, 4, 5}
 
 
+def test_verify_table_errors_are_failed_checks(monkeypatch, capsys):
+    # A built polynomial with no expansion fails its gl1/gl2 check (exit 1),
+    # and the other checks of the run are still reported.
+    uf = ulrich_functions
+    monkeypatch.setattr(uf, "build_f", lambda s, r, m: build_f(s, r, m) + 1)
+    monkeypatch.setitem(
+        uf._DERIVED_BUILDERS,
+        "g4",
+        lambda s: build_g4(s) + MultiPoly.variable(s, 0).times_all_vars(),
+    )
+    for suite, passed, error in (
+        ("gl1", 0, "term with exponents (0, 0, 0, 0) is not divisible by all variables"),
+        ("gl2", 5, "polynomial is not symmetric"),
+    ):
+        code, doc = run_json(capsys, "verify", "--suite", suite, "--s", "4")
+        assert code == 1
+        assert doc["summary"]["passed"] == passed
+        failed = [r for r in doc["results"] if r["status"] == "fail"]
+        assert failed[0]["lemma"] == f"{suite}(1)"
+        assert failed[0]["witness"] == {"error": error}
+
+
 def test_verify_text_summary(capsys):
     code, out = run(capsys, "verify", "--suite", "tf2", "--s", "4")
     assert code == 0
@@ -142,6 +165,24 @@ def test_invariants_type22_rank3(capsys):
     assert code == 0
     assert doc["invariants"]["u"] == 3
     assert doc["invariants"]["e"] == "15/4" and not doc["invariants"]["e_integral"]
+
+
+def test_invariants_twist_range_is_bounded(monkeypatch, capsys):
+    # Fails before any work, the default range 0..n included.
+    query = ["invariants", "--degrees", "3,2", "--r", "2"]
+    for extra, spans in (
+        (["--n", "4", "--m", "0..100000000"], 100000001),
+        (["--n", "10000"], 10001),
+    ):
+        code = main(query + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --m spans {spans} twists; at most 10000\n"
+    query.extend(["--n", "4"])
+    monkeypatch.setattr(cli, "MAX_TWISTS", 3)
+    assert run(capsys, *query, "--m", "-1..1")[0] == 0
+    assert main(query + ["--m", "-1..2"]) == 2
+    assert "error: --m spans 4 twists; at most 3" in capsys.readouterr().err
 
 
 # -- certify ------------------------------------------------------------------------
