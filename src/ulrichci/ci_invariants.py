@@ -159,8 +159,7 @@ def _as_int(value: Fraction) -> int:
 
 def chi_E(cfg: CIConfig, m: int) -> int:
     """chi(E(m)) = r d binom(m+n, n); vanishes for m = -1..-n (Ulrich condition)."""
-    value = cfg.r * cfg.d * binom_int(m + cfg.n, cfg.n)
-    return int(value)
+    return cfg.r * cfg.d * binom_int(m + cfg.n, cfg.n)
 
 
 def _subset_sum_signs(degrees: tuple[int, ...]) -> dict[int, int]:
@@ -181,7 +180,7 @@ def _subset_sum_signs(degrees: tuple[int, ...]) -> dict[int, int]:
 def chi_OX(cfg: CIConfig, m: int) -> int:
     """chi(O_X(m)) by inclusion-exclusion over the defining degrees."""
     N = cfg.n + cfg.s
-    total = Fraction(0)
+    total = 0
     for t, c in _subset_sum_signs(cfg.degrees).items():
         total += c * binom_int(m - t + N, N)
     return _as_int(total)
@@ -404,7 +403,7 @@ def certify(n: int, degrees, r: int) -> Certificate:
 
 def proj_h0(k: int, j: int) -> int:
     """h^0(O_{P^k}(j)): the Euler characteristic for j >= 0, zero otherwise."""
-    return int(binom_int(j + k, k)) if j >= 0 else 0
+    return binom_int(j + k, k) if j >= 0 else 0
 
 
 def hypersurface_hilb(n: int, d: int, m: int) -> int:
@@ -467,7 +466,7 @@ def hypersurface_resolution(n: int, d: int) -> ResolutionData:
         g * proj_h0(n + 1, 0) - g * proj_h0(n + 1, -1) + proj_h0(n + 1, -d)
     )
     h0_oz = hypersurface_hilbert_function(n, d, d - 1)
-    h0_normal = g * h0_oz + comb(g, 2) * (n + 2) - g * int(binom_int(d + n, n + 1))
+    h0_normal = g * h0_oz + comb(g, 2) * (n + 2) - g * binom_int(d + n, n + 1)
     return ResolutionData(
         generator_degree=d - 1,
         generator_count=g,

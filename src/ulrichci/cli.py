@@ -19,7 +19,6 @@ import tempfile
 from . import __version__
 from .ci_invariants import (
     EXCLUDED,
-    INCONCLUSIVE,
     NON_EXISTENCE,
     CIConfig,
     ParityError,
@@ -56,8 +55,6 @@ SCHEMA_VERSION = 1
 #: Most twists one invariants table may hold, so a huge --m fails before any work.
 MAX_TWISTS = 10_000
 
-SUITES = ("all", "tf0", "tf1", "tf2", "tf2bis", "gl1", "gl2", "gl4", "cg")
-
 
 def _over_pairs(verify):
     return lambda s, args: [c for r, m in SUPPORTED_PAIRS for c in verify(s, r, m)]
@@ -79,6 +76,8 @@ _RANGED_SUITES = {
     "gl2": (lambda s, args: verify_gl2(s), 1, (1, 6)),
     "gl4": (lambda s, args: verify_gl4(s), 4, (4, 6)),
 }
+
+SUITES = ("all", *_RANGED_SUITES, "cg")
 
 
 def _parse_range(text: str) -> tuple[int, int]:

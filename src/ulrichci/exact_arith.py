@@ -9,30 +9,30 @@ The binomial coefficient follows the falling-factorial convention
 
     binom(l, m) = l*(l-1)*...*(l-m+1) / m!
 
-defined for every integer upper argument l (negative included) and, via
-binom_poly, for polynomial upper arguments.
+defined for every integer upper argument l (negative included), where
+binom_int returns an int, and, via binom_poly, for polynomial upper
+arguments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .polyring import MultiPoly
 
 
-def binom_int(ell: int, m: int) -> Fraction:
-    """Generalized binomial l over m for any integer l and m >= 0.
+def binom_int(ell: int, m: int) -> int:
+    """Generalized binomial l over m for any integer l and m >= 0, as an int.
 
-    The result is an integer-valued Fraction (a product of m consecutive
-    integers is divisible by m!); binom_int(l, 0) == 1.
+    binom_int(l, 0) == 1; a negative l goes through the reflection
+    binom(l, m) = (-1)^m binom(m - l - 1, m).
     """
     if m < 0:
         raise ValueError(f"lower binomial index must be non-negative, got {m}")
-    num = 1
-    for j in range(m):
-        num *= ell - j
-    return Fraction(num, factorial(m))
+    if ell >= 0:
+        return comb(ell, m)
+    return (-1) ** m * comb(m - ell - 1, m)
 
 
 def binom_poly(arg: MultiPoly, m: int) -> MultiPoly:

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 # Hard cap on the variable count.  Term counts grow combinatorially with the
 # number of variables; 12 keeps worst-case memory deterministic at desk scale.

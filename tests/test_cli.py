@@ -493,11 +493,11 @@ def test_invalid_samples_flag_exits_2(capsys, value):
 REPORT_DIGESTS = {
     "default": (
         [],
-        "9366d2c35eb0a3aaf5e70338203a0ac749015424382ac5aa45b093d2736b2f2a",
+        "0ebacf206541b310645a86ca7da3797b474e7d47579ae13109a6be10696f76c4",
     ),
     "s5-8-seed1": (
         ["--s", "5..8", "--seed", "1"],
-        "67e500088a9f92c534435833c9eae109ed2e51ea016b52ce51a04b77755a8e3a",
+        "0187482c78c961ee11c14ec006f7df9d62e7e57ccc4815a12eb0b3ce7ef97002",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Tests for the falling-factorial binomial on integers and polynomials."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,17 @@ def test_always_integer_valued():
     for ell in range(-30, 31):
         for m in range(0, 10):
             assert binom_int(ell, m).denominator == 1
+
+
+def test_matches_falling_factorial_product():
+    for ell in range(-30, 31):
+        for m in range(0, 13):
+            falling = 1
+            for j in range(m):
+                falling *= ell - j
+            value = binom_int(ell, m)
+            assert type(value) is int
+            assert value == Fraction(falling, factorial(m))
 
 
 def test_binom_poly_single_variable():

@@ -1,0 +1,29 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import ulrichci
+
+PACKAGE = Path(ulrichci.__file__).parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads as a plain name."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, so it is skipped.
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    unused = {path.name: _unused_imports(path) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

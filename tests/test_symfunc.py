@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ulrichci import symfunc
 from ulrichci.polyring import MultiPoly
 from ulrichci.symfunc import (
     BASIS,
@@ -237,6 +238,27 @@ def test_tf2bis_suite():
     for s in (5, 6):
         results = verify_tf2bis(s, samples=15, seed=2)
         assert all(r.ok for r in results)
+
+
+def test_tf2bis_checks_every_sample_for_both_records(monkeypatch):
+    # A wrong restriction map fails the reconstruction record at the first
+    # sample; the agreement record must still see all of them.
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return expand_via_restriction(G)
+
+    monkeypatch.setattr(
+        symfunc,
+        "restriction_coefficients",
+        lambda coeffs, s: tuple(c + 1 for c in restriction_coefficients(coeffs, s)),
+    )
+    monkeypatch.setattr(symfunc, "expand_via_restriction", counting)
+    rel, agree = verify_tf2bis(5, samples=4)[-2:]
+    assert not rel.ok and rel.witness["coeffs"]
+    assert agree.ok
+    assert len(calls) == 4
 
 
 def test_basis_layout():

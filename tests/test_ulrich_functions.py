@@ -353,8 +353,8 @@ def test_failing_records_digest(monkeypatch):
     records = _failing_records(monkeypatch)
     failed = sorted({r.lemma for r in records if not r.ok})
     assert failed == [
-        "cg/all-ones-step",
-        "cg/derivative",
+        "cg/sos",
+        "cg/step",
         "gl1(1)",
         "gl2(1)",
         "gl3",
@@ -371,7 +371,7 @@ def test_failing_records_digest(monkeypatch):
         "tf2-bis/rel-reconstruction",
     ]
     doc = json.dumps([r.to_dict() for r in records])
-    assert hashlib.sha256(doc.encode()).hexdigest() == "831f73852f2f140aa74dd089f92735287ef6dab83f7a0f7207b40de09512ca70"
+    assert hashlib.sha256(doc.encode()).hexdigest() == "730d6e7b1b136330543c9e1add124474d86e5336999b238f247a52b9e81aa91b"
 
 
 # -- positivity scan and induction ----------------------------------------------------------------
@@ -528,6 +528,26 @@ def test_scan_rejects_bad_ranges():
 def test_cg_induction(s, b):
     results = verify_cg_induction(s, b)
     assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
+
+
+def test_cg_threshold_is_sharp():
+    # q_{s,b} > 0 at every tuple with product >= 2 exactly when b >= 3.
+    report = verify_cg_scan(2, 2, b_values=(2,))
+    assert not report.ok
+    assert report.cells[0].violations == [((2, 1), 0)]
+    report = verify_cg_scan(8, 8, b_values=(3,))
+    assert report.ok
+    assert min(cell.min_q for cell in report.cells) == q_value((2, 1), 3) == 15
+
+
+@pytest.mark.parametrize("s", range(2, 12))
+def test_cg_induction_proves_positivity_from_b_3(s):
+    results = verify_cg_induction(s, 3)
+    assert [r.lemma for r in results] == ["gl3", "cg/r_b(1)=0", "cg/step", "cg/sos"]
+    assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
+    below = verify_cg_induction(s, 2)
+    assert [r.ok for r in below] == [True, True, False, False]
+    assert [r.witness for r in below[2:]] == [{"least_b": 3}] * 2
 
 
 def test_all_ones_step_value():
