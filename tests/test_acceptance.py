@@ -28,7 +28,6 @@ from ulrichci.ci_invariants import (
 from ulrichci.symfunc import (
     expand_direct,
     expand_via_restriction,
-    random_expansion,
     restriction_coefficients,
     substitution_identities,
     verify_tf2_table,
@@ -63,7 +62,7 @@ def test_criterion_01_product_identity_table():
     _report(1, f"13 monomial identities exact for s=4..8 in {elapsed:.2f}s")
 
 
-def test_criterion_02_restriction_machinery():
+def test_criterion_02_restriction_machinery(random_expansion):
     checked = 0
     for s in range(5, 9):
         results = substitution_identities(s)

@@ -6,11 +6,13 @@ import hashlib
 import json
 import os
 import stat
+import sys
 import threading
 
 import pytest
 
 from ulrichci import cli, ulrich_functions
+from ulrichci.ci_invariants import CIConfig, chi_OX
 from ulrichci.cli import _scan_checks, main
 from ulrichci.polyring import MultiPoly
 from ulrichci.ulrich_functions import build_f, build_g4, verify_cg_scan
@@ -183,6 +185,20 @@ def test_invariants_twist_range_is_bounded(monkeypatch, capsys):
     assert run(capsys, *query, "--m", "-1..1")[0] == 0
     assert main(query + ["--m", "-1..2"]) == 2
     assert "error: --m spans 4 twists; at most 3" in capsys.readouterr().err
+
+
+def test_invariants_prints_values_beyond_the_str_digit_limit(capsys):
+    # chi_OX(cfg, 7200) has more digits than str(int) allows by default;
+    # start from that default whatever an earlier main() call set.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)
+    query = ["invariants", "--n", "7200", "--degrees", "3,2", "--r", "2", "--m", "7200..7200"]
+    expected = chi_OX(CIConfig(7200, (3, 2), 2), 7200)
+    code, out = run(capsys, *query)
+    assert code == 0 and f" {expected} " in out
+    assert len(str(abs(expected))) > 4300
+    code, doc = run_json(capsys, *query)
+    assert code == 0 and doc["euler_table"][0]["chi_OX"] == expected
 
 
 # -- certify ------------------------------------------------------------------------
@@ -475,17 +491,25 @@ def test_invalid_workers_flag_exits_2(capsys, command, value):
     )
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
-def test_invalid_samples_flag_exits_2(capsys, value):
+def test_samples_flag_is_unrecognised(capsys):
+    # tf2bis is exact on the basis, so there is no sample count to set.
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "tf2bis", "--s", "5", "--samples", value])
+        main(["verify", "--samples", "5"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (
-        f"error: argument --samples: must be a positive integer, got '{value}'"
-        in captured.err
-    )
+    assert "error: unrecognized arguments: --samples 5" in captured.err
+
+
+def test_seed_changes_no_output_byte(capsys):
+    # --seed is accepted for old command lines and ignored.
+    runs = {
+        run(capsys, "verify", *seed, "--format", "json")
+        for seed in ([], ["--seed", "0"], ["--seed", "1"])
+    }
+    assert len(runs) == 1
+    code, out = runs.pop()
+    assert code == 0 and "seed" not in json.loads(out)["parameters"]
 
 
 #: sha256 of the --format json stdout of verify runs, pinned so that any
@@ -493,11 +517,11 @@ def test_invalid_samples_flag_exits_2(capsys, value):
 REPORT_DIGESTS = {
     "default": (
         [],
-        "0ebacf206541b310645a86ca7da3797b474e7d47579ae13109a6be10696f76c4",
+        "b8f67971a98aca69dbcf8027d9839452ccf71906a3ce0b9df54ec154a822d121",
     ),
     "s5-8-seed1": (
         ["--s", "5..8", "--seed", "1"],
-        "0187482c78c961ee11c14ec006f7df9d62e7e57ccc4815a12eb0b3ce7ef97002",
+        "24abc471f8dd3cf9f42ddf98522bf23b6e696055abbaaff47513c483bc0e8826",
     ),
 }
 

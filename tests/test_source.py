@@ -21,6 +21,24 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_random():
+    # Every verify check is exact, so no report may depend on an RNG.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [path.name for path in modules if "random" in _imported_modules(path)] == []
+
+
 def test_no_unused_imports():
     # __init__.py imports to re-export, so it is skipped.
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")

@@ -16,7 +16,6 @@ from ulrichci.symfunc import (
     expand_direct,
     expand_via_restriction,
     monomial_sym,
-    random_expansion,
     restriction_coefficients,
     substitution_identities,
     verify_tf2_table,
@@ -119,7 +118,7 @@ def test_expand_rejects_high_degree():
         expand_direct(m1 * m1 * m1 * m1 * m1)
 
 
-def test_expand_rejects_one_changed_coefficient():
+def test_expand_rejects_one_changed_coefficient(random_expansion):
     rng = random.Random(5)
     for s in (4, 5, 6):
         for _ in range(10):
@@ -148,7 +147,7 @@ def test_expand_requires_four_variables():
         SymExpansion(3, (0,) * 12)
 
 
-def test_expand_reconstruct_roundtrip():
+def test_expand_reconstruct_roundtrip(random_expansion):
     rng = random.Random(7)
     for s in (4, 5, 6):
         for _ in range(10):
@@ -191,7 +190,7 @@ def test_substitution_identities_hold():
         assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
 
 
-def test_restriction_coefficients_match_substitution():
+def test_restriction_coefficients_match_substitution(random_expansion):
     # Forward map agrees with actually substituting ones into the reconstruction.
     rng = random.Random(3)
     for s in (5, 6, 8):
@@ -201,7 +200,7 @@ def test_restriction_coefficients_match_substitution():
         assert expand_direct(restricted).coeffs == predicted
 
 
-def test_restriction_map_inverse():
+def test_restriction_map_inverse(random_expansion):
     rng = random.Random(13)
     for s in range(5, 13):
         for _ in range(5):
@@ -211,7 +210,7 @@ def test_restriction_map_inverse():
             assert _restriction_map(restricted, 4 - s) == a
 
 
-def test_s_equal_four_aliases_direct():
+def test_s_equal_four_aliases_direct(random_expansion):
     rng = random.Random(11)
     expansion = random_expansion(4, rng)
     G = expansion.reconstruct()
@@ -235,14 +234,16 @@ def test_tf2_identity_12_explicit():
 
 
 def test_tf2bis_suite():
-    for s in (5, 6):
-        results = verify_tf2bis(s, samples=15, seed=2)
-        assert all(r.ok for r in results)
+    for s in (5, 6, 8, 12):
+        results = verify_tf2bis(s)
+        assert len(results) == 14
+        assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
+        assert all(r.parameters == {"s": s} for r in results)
 
 
-def test_tf2bis_checks_every_sample_for_both_records(monkeypatch):
+def test_tf2bis_checks_every_basis_element_for_both_records(monkeypatch):
     # A wrong restriction map fails the reconstruction record at the first
-    # sample; the agreement record must still see all of them.
+    # basis element; the agreement record must still see all twelve.
     calls = []
 
     def counting(G):
@@ -255,10 +256,30 @@ def test_tf2bis_checks_every_sample_for_both_records(monkeypatch):
         lambda coeffs, s: tuple(c + 1 for c in restriction_coefficients(coeffs, s)),
     )
     monkeypatch.setattr(symfunc, "expand_via_restriction", counting)
-    rel, agree = verify_tf2bis(5, samples=4)[-2:]
-    assert not rel.ok and rel.witness["coeffs"]
+    rel, agree = verify_tf2bis(5)[-2:]
+    assert not rel.ok and rel.witness == {"partition": [4]}
     assert agree.ok
-    assert len(calls) == 4
+    assert len(calls) == 12
+    assert calls == [monomial_sym(lam, 5) for lam in BASIS]
+
+
+def test_tf2bis_witness_names_the_failing_partition(monkeypatch):
+    # Maps that are wrong on a single basis element fail there and only there.
+    def rel_wrong_on_m211(coeffs, s):
+        b = restriction_coefficients(coeffs, s)
+        return b[:-1] + (b[-1] + coeffs[3],)
+
+    def via_wrong_on_m111(G):
+        a = expand_via_restriction(G).coeffs
+        return SymExpansion(G.nvars, a[:-1] + (a[-1] + a[7],))
+
+    monkeypatch.setattr(symfunc, "restriction_coefficients", rel_wrong_on_m211)
+    monkeypatch.setattr(symfunc, "expand_via_restriction", via_wrong_on_m111)
+    results = verify_tf2bis(6)
+    assert all(r.ok for r in results[:-2])
+    rel, agree = results[-2:]
+    assert not rel.ok and rel.witness == {"partition": [2, 1, 1]}
+    assert not agree.ok and agree.witness == {"partition": [1, 1, 1]}
 
 
 def test_basis_layout():
