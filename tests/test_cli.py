@@ -491,14 +491,16 @@ def test_invalid_workers_flag_exits_2(capsys, command, value):
     )
 
 
-def test_samples_flag_is_unrecognised(capsys):
-    # tf2bis is exact on the basis, so there is no sample count to set.
+@pytest.mark.parametrize("value", ["0", "-3", "x", "5"])
+def test_invalid_samples_flag_exits_2(capsys, value):
+    # tf2bis is exact on the basis, so there is no sample count to set:
+    # --samples is refused whatever its value.
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--samples", "5"])
+        main(["verify", "--suite", "tf2bis", "--s", "5", "--samples", value])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: unrecognized arguments: --samples 5" in captured.err
+    assert f"error: unrecognized arguments: --samples {value}" in captured.err
 
 
 def test_seed_changes_no_output_byte(capsys):
