@@ -41,6 +41,7 @@ from .ulrich_functions import (
     GL4_CONSTANTS,
     SUPPORTED_PAIRS,
     ScanReport,
+    check_scan_grid,
     verify_cg_induction,
     verify_cg_scan,
     verify_gl1,
@@ -237,7 +238,8 @@ def _scan_checks(report: ScanReport) -> list[CheckResult]:
 
 def _cmd_verify(args) -> int:
     suites = list(SUITES[1:]) if args.suite == "all" else [args.suite]
-    # Fail before any work: the ranged suites work in s variables, cg in s-max + 1.
+    # Fail before any work: the ranged suites work in s variables, cg in s-max + 1,
+    # and the scan has a bounded grid.
     if args.suite != "cg" and args.s and args.s[1] > MAX_VARS:
         raise ValueError(f"--s must be at most {MAX_VARS} (MAX_VARS), got {args.s[1]}")
     if "cg" in suites and args.s_max >= MAX_VARS:
@@ -245,8 +247,8 @@ def _cmd_verify(args) -> int:
             f"--s-max must be at most {MAX_VARS - 1} for suite cg (MAX_VARS - 1), "
             f"got {args.s_max}"
         )
-    if "cg" in suites and (args.s_max < 2 or args.d_max < 2):
-        raise ValueError("scan needs s_max >= 2 and d_max >= 2")
+    if "cg" in suites:
+        check_scan_grid(args.s_max, args.d_max)
     results: list[CheckResult] = []
     for suite in suites:
         results.extend(_run_suite(suite, args))

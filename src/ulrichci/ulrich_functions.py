@@ -587,41 +587,50 @@ def _runs_to_tuple(runs: list, d: int, s: int) -> tuple[int, ...]:
     return (*(run[0] for run, end in zip(runs, ends) for _ in range(run[1], end)), d)
 
 
-def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
-    """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead.
+def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
+    """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead, once per b.
 
     The tuples come in _iter_degree_tuples order.  All entries but the last
     are held as runs (value, start, m2, m4) of equal entries, where m2 and m4
     are the sums of d^2 and d^4 over the entries before start; the last entry
-    runs from the value of the last run down to 1.  So each q, and each step
-    to the next run layout, costs O(1) whatever s is, and the entries are
-    written out only for a tuple that is kept.
+    runs from the value of the last run down to 1.  So each step to the next
+    run layout costs O(1) whatever s is, and the entries are written out only
+    for a tuple that is kept.  One walk serves every b of the task: a row
+    (the first s - 1 entries, power sums m2, m4) fixes
+    q0 = _q_from_power_sums(s, 0, m2, m4) and lin = 10 (m2 - s), and each
+    tuple of the row is q = (b t + lin) t + q0 + b (m4 - s) with t = d^2.
+    Returns one partial per entry of b_values, in order.
     """
-    b, s, lead, keep_values = task
+    b_values, s, lead, keep_values = task
     runs = [(lead, 0, 0, 0)]
     squares = [d * d for d in range(lead + 1)]
     fourths = [d * d for d in squares]
+    # The last entry d of a row whose last run has value v, with t = d^2.
+    rows = [[(d, squares[d]) for d in range(v, 0, -1)] for v in range(lead + 1)]
     count = 0
-    min_q = None
-    min_at = None
-    violations = []
-    omitted = 0
-    values = [] if keep_values else None
+    # Per b: [min q, (runs, d) where it is, violations, omitted, kept values].
+    folds = [[None, None, [], 0, [] if keep_values else None] for _ in b_values]
     while True:
         v, k, m2, m4 = runs[-1]
         m2 += (s - 1 - k) * squares[v]
         m4 += (s - 1 - k) * fourths[v]
-        for d in range(v, 0, -1):
-            q = _q_from_power_sums(s, b, m2 + squares[d], m4 + fourths[d])
-            if min_q is None or q < min_q:
-                min_q, min_at = q, (runs[:], d)
-            if q <= 0:
-                if len(violations) < _LIST_CAP:
-                    violations.append((_runs_to_tuple(runs, d, s), q))
-                else:
-                    omitted += 1
-            if keep_values:
-                values.append((_runs_to_tuple(runs, d, s), q))
+        q0 = _q_from_power_sums(s, 0, m2, m4)
+        lin = 10 * (m2 - s)
+        for b, fold in zip(b_values, folds):
+            q0_b = q0 + b * (m4 - s)
+            min_q = fold[0]
+            for d, t in rows[v]:
+                q = (b * t + lin) * t + q0_b
+                if min_q is None or q < min_q:
+                    min_q = fold[0] = q
+                    fold[1] = (runs[:], d)
+                if q <= 0:
+                    if len(fold[2]) < _LIST_CAP:
+                        fold[2].append((_runs_to_tuple(runs, d, s), q))
+                    else:
+                        fold[3] += 1
+                if keep_values:
+                    fold[4].append((_runs_to_tuple(runs, d, s), q))
         count += v
         # Advance: the rightmost entry after the lead that is still above 1
         # drops by one, and every entry after it takes its new value.
@@ -639,7 +648,41 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
             m2 += (i - k) * squares[w]
             m4 += (i - k) * fourths[w]
         runs.append((w - 1, i, m2, m4))
-    return count, min_q, _runs_to_tuple(*min_at, s), violations, omitted, values
+    return [
+        (count, min_q, _runs_to_tuple(*min_at, s), violations, omitted, values)
+        for min_q, min_at, violations, omitted, values in folds
+    ]
+
+
+#: Most q evaluations one scan may make, over all its b values, so that a
+#: huge grid fails before any work.
+MAX_SCAN_TUPLES = 10**9
+
+
+def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...] = (8, 9)) -> int:
+    """The number of q evaluations per b of a scan; ValueError for a grid the scan refuses.
+
+    Per b the scan evaluates C(s_max + d_max, s_max) - d_max - s_max tuples:
+    sum_{s=2}^{s_max} C(s + d_max - 1, s), less one all-ones tuple per s.  A
+    grid of more than MAX_SCAN_TUPLES evaluations over all b is refused.  The
+    binomial is a running product that stops once it passes the bound, so a
+    huge grid costs a few steps.
+    """
+    if s_max < 2 or d_max < 2:
+        raise ValueError("scan needs s_max >= 2 and d_max >= 2")
+    if not b_values:
+        raise ValueError("scan needs at least one b value")
+    cap = MAX_SCAN_TUPLES // len(b_values) + d_max + s_max
+    n, k = s_max + d_max, min(s_max, d_max)
+    size = 1
+    for i in range(1, k + 1):
+        size = size * (n - k + i) // i  # C(n - k + i, i), which grows with i
+        if size > cap:
+            raise ValueError(
+                f"scan over s <= {s_max}, d <= {d_max} and {len(b_values)} b value(s) "
+                f"needs more than {MAX_SCAN_TUPLES} q evaluations (MAX_SCAN_TUPLES)"
+            )
+    return size - d_max - s_max
 
 
 def verify_cg_scan(
@@ -652,10 +695,11 @@ def verify_cg_scan(
     """Exhaustive positivity scan of q_{s,b} over bounded degree tuples.
 
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
-    at least 2, for s = 2..s_max, and requires q > 0 at every point.  One
-    task is the slice of a (b, s) cell with one leading entry; it walks its
-    tuples in order as runs of equal entries with running power sums, so
-    each q costs O(1) whatever s is.
+    at least 2, for s = 2..s_max, and requires q > 0 at every point.  A grid
+    of more than MAX_SCAN_TUPLES q evaluations over all b is refused before
+    any work.  One task is the slice of one s with one leading entry, for
+    every b at once; it walks its tuples in order as runs of equal entries
+    with running power sums, so each q costs O(1) whatever s is.
     With several workers all tasks go through one process pool of at most
     os.cpu_count() processes.
     Results are folded in task order, so the report is identical for any
@@ -663,42 +707,36 @@ def verify_cg_scan(
     counts the rest in violations_omitted; per-tuple values are kept only for
     cells of at most 1000 tuples, i.e. C(s+d_max-1, s) - 1 <= 1000.
     """
-    if s_max < 2 or d_max < 2:
-        raise ValueError("scan needs s_max >= 2 and d_max >= 2")
-    if not b_values:
-        raise ValueError("scan needs at least one b value")
+    b_values = tuple(b_values)
+    check_scan_grid(s_max, d_max, b_values)
+    s_range = range(2, s_max + 1)
+    keep = {s: per_tuple and comb(s + d_max - 1, s) - 1 <= _LIST_CAP for s in s_range}
     cells = [
-        ScanCell(
-            b=b,
-            s=s,
-            per_tuple=[] if per_tuple and comb(s + d_max - 1, s) - 1 <= _LIST_CAP else None,
-        )
+        ScanCell(b=b, s=s, per_tuple=[] if keep[s] else None)
         for b in b_values
-        for s in range(2, s_max + 1)
+        for s in s_range
     ]
-    tasks = [
-        (cell.b, cell.s, lead, cell.per_tuple is not None)
-        for cell in cells
-        for lead in range(d_max, 1, -1)
-    ]
+    tasks = [(b_values, s, lead, keep[s]) for s in s_range for lead in range(d_max, 1, -1)]
     if workers > 1:
         # A fork-started pool forks all its workers at once: never more than the CPUs.
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_scan_slice, tasks))
     else:
         partials = list(map(_scan_slice, tasks))
-    # Every cell has d_max - 1 consecutive tasks, none of them empty.
-    for i, (count, min_q, min_tuple, violations, omitted, values) in enumerate(partials):
-        cell = cells[i // (d_max - 1)]
-        cell.tuples_checked += count
-        if cell.min_q is None or min_q < cell.min_q:
-            cell.min_q, cell.min_tuple = min_q, min_tuple
-        room = _LIST_CAP - len(cell.violations)
-        cell.violations.extend(violations[:room])
-        cell.violations_omitted += omitted + max(len(violations) - room, 0)
-        if values is not None:
-            cell.per_tuple.extend(values)
-    return ScanReport(s_max=s_max, d_max=d_max, b_values=tuple(b_values), cells=cells)
+    # Every s has d_max - 1 consecutive tasks, none of them empty, and the
+    # cell of the j-th b at s is cells[j * (s_max - 1) + s - 2].
+    for i, per_b in enumerate(partials):
+        for j, (count, min_q, min_tuple, violations, omitted, values) in enumerate(per_b):
+            cell = cells[j * (s_max - 1) + i // (d_max - 1)]
+            cell.tuples_checked += count
+            if cell.min_q is None or min_q < cell.min_q:
+                cell.min_q, cell.min_tuple = min_q, min_tuple
+            room = _LIST_CAP - len(cell.violations)
+            cell.violations.extend(violations[:room])
+            cell.violations_omitted += omitted + max(len(violations) - room, 0)
+            if values is not None:
+                cell.per_tuple.extend(values)
+    return ScanReport(s_max=s_max, d_max=d_max, b_values=b_values, cells=cells)
 
 
 def verify_cg_induction(s: int, b: int) -> list[CheckResult]:

@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import threading
+import time
 
 import pytest
 
@@ -67,8 +68,13 @@ def test_verify_range_below_suite_minimum(capsys):
         (["--suite", "cg", "--s-max", "12"], "--s-max must be at most 11 for suite cg"),
         (["--d-max", "1", "--s", "5..8"], "scan needs s_max >= 2 and d_max >= 2\n"),
         (["--suite", "cg", "--s-max", "1"], "scan needs s_max >= 2 and d_max >= 2\n"),
+        (
+            ["--d-max", "100000000"],
+            "scan over s <= 6, d <= 100000000 and 2 b value(s) needs more than "
+            "1000000000 q evaluations (MAX_SCAN_TUPLES)\n",
+        ),
     ],
-    ids=["gl4", "all", "cg", "all-d-max", "cg-s-max"],
+    ids=["gl4", "all", "cg", "all-d-max", "cg-s-max", "all-huge-d-max"],
 )
 def test_verify_beyond_max_vars_exits_2_before_work(monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
@@ -292,6 +298,28 @@ def test_value_starting_with_minus(capsys, option, value, command):
     assert joined[0] in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--s-max", "2", "--d-max", "100000000"],
+        ["scan", "--s-max", "100000000", "--d-max", "2"],
+        ["scan", "--s-max", "100000000", "--d-max", "100000000", "--b", "8"],
+        ["verify", "--suite", "cg", "--s-max", "11", "--d-max", "100000000"],
+    ],
+    ids=["scan-d-max", "scan-s-max", "scan-both", "verify-cg"],
+)
+def test_huge_scan_grid_exits_2_at_once(capsys, argv):
+    # The grid is counted before any cell or task exists.
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: scan over s <= ")
+    assert captured.err.endswith(" needs more than 1000000000 q evaluations (MAX_SCAN_TUPLES)\n")
+    assert elapsed < 1
+
+
 def test_scan_reports_omitted_violations(capsys):
     code, out = run(capsys, "scan", "--s-max", "6", "--d-max", "10", "--b", "-1000")
     assert code == 1
@@ -301,6 +329,31 @@ def test_scan_reports_omitted_violations(capsys):
     witness = _scan_checks(verify_cg_scan(6, 10, b_values=(-1000,)))[-1].witness
     assert len(witness["violations"]) == 1000
     assert witness["violations_omitted"] == 4004
+
+
+#: sha256 of scan --format json stdout with parameters.workers removed, taken
+#: when each b had its own walk over the tuples: one grid whose cells cap and
+#: omit violations, one that lists every tuple and repeats a b.
+SCAN_DIGESTS = {
+    "capped": (
+        ["--s-max", "6", "--d-max", "10", "--b=-1000,0,5,8,9"],
+        "52efbdf8fca075ded3dd6f804797bc082ed13be866024769a4434e277404e217",
+    ),
+    "listed": (
+        ["--s-max", "4", "--d-max", "5", "--b=-3,5,5", "--list-tuples"],
+        "c0fcb8a341d081ee27c5078d1159a36341384ce1a0dc8f3065f9e85549959d34",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SCAN_DIGESTS))
+def test_scan_report_digest(capsys, name, workers):
+    argv, digest = SCAN_DIGESTS[name]
+    code, doc = run_json(capsys, "scan", *argv, "--workers", workers)
+    assert code == 1
+    assert doc["parameters"].pop("workers") == int(workers)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
 
 # -- output handling ------------------------------------------------------------------

@@ -44,6 +44,7 @@ from ulrichci.ulrich_functions import (
     build_h,
     build_k,
     build_q,
+    check_scan_grid,
     closed_form_derived_coefficients,
     closed_form_f_coefficients,
     q_value,
@@ -208,6 +209,16 @@ def test_q_vanishes_at_all_ones():
 def test_q_hand_values():
     assert build_q(4, 8).eval((2, 1, 1, 1)) == 90
     assert build_q(2, 9).eval((2, 2)) == 300
+
+
+@pytest.mark.parametrize("b", [-1000, -3, 0, 5, 8, 9])
+def test_q_row_form(b):
+    # The scan's row form: a last entry with t = d^2 added to a row whose
+    # power sums are p2, p4.
+    s, p2, p4, t = MultiPoly.gens(4)
+    lhs = _q_from_power_sums(s, b, p2 + t, p4 + t * t)
+    rhs = _q_from_power_sums(s, 0, p2, p4) + b * (p4 - s) + t * (b * t + 10 * (p2 - s))
+    assert lhs == rhs
 
 
 def test_q_value_matches_polynomial():
@@ -473,20 +484,55 @@ def _q_value_fold(b, s, lead, keep_values):
 
 
 def test_scan_slice_matches_q_value_fold():
-    tasks = [
+    b_values = (-1000, -3, 0, 5, 8, 9)
+    cases = [
         (b, s, lead, keep_values)
         for s in range(2, 8)
         for lead in range(2, 7)
-        for b in (-1000, -3, 0, 5, 8, 9)
+        for b in b_values
         for keep_values in (False, True)
     ]
     # A slice with more violations than a cell lists, slices whose tuples
     # hold long runs of equal entries, and s far beyond the recursion limit
     # (the walk must be iterative).
-    tasks += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
-    tasks += [(8, 1100, 2, False)]
-    for task in tasks:
-        assert _scan_slice(task) == _q_value_fold(*task), task
+    cases += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
+    cases += [(8, 1100, 2, False)]
+    folds = {}
+    for case in cases:
+        folds[case] = _q_value_fold(*case)
+        b, s, lead, keep_values = case
+        assert _scan_slice(((b,), s, lead, keep_values)) == [folds[case]], case
+    # One walk serves every b of a task, in order, a repeated b included
+    # (s = 40 and 1100 test long runs and an iterative walk, whatever the b).
+    many = (*b_values, 8)
+    for s, lead, keep_values in {case[1:] for case in cases if case[1] < 40}:
+        expected = [
+            folds.get((b, s, lead, keep_values)) or _q_value_fold(b, s, lead, keep_values)
+            for b in many
+        ]
+        assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, keep_values)
+
+
+def test_scan_grid_count_and_bound(monkeypatch):
+    # Per b: C(s_max + d_max, s_max) - d_max - s_max tuples.
+    for s_max, d_max in ((2, 2), (4, 5), (7, 3), (3, 9)):
+        expected = sum(comb(s + d_max - 1, s) - 1 for s in range(2, s_max + 1))
+        assert check_scan_grid(s_max, d_max) == expected, (s_max, d_max)
+    assert check_scan_grid(12, 10) == 646_624
+    # The bound counts every b, a repeated b included, and is inclusive.
+    b_values = (0, 9, 9)
+    total = verify_cg_scan(4, 5, b_values=b_values).total_tuples
+    assert total == 3 * check_scan_grid(4, 5) == 3 * 117
+    monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total)
+    assert verify_cg_scan(4, 5, b_values=b_values).total_tuples == total
+    monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total - 1)
+    with pytest.raises(ValueError, match=r"more than 350 q evaluations \(MAX_SCAN_TUPLES\)"):
+        verify_cg_scan(4, 5, b_values=b_values)
+    monkeypatch.undo()
+    # A huge grid is refused after a few steps of the running product.
+    for s_max, d_max in ((2, 10**8), (10**8, 2), (10**100, 10**100)):
+        with pytest.raises(ValueError, match="MAX_SCAN_TUPLES"):
+            check_scan_grid(s_max, d_max, (8,))
 
 
 def test_scan_caps_violations():
