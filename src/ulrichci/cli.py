@@ -39,6 +39,7 @@ from .report import FAIL, PASS, CheckResult, all_ok, summarize
 from .symfunc import verify_tf2_table, verify_tf2bis
 from .ulrich_functions import (
     GL4_CONSTANTS,
+    SCAN_B_VALUES,
     SUPPORTED_PAIRS,
     ScanReport,
     check_scan_grid,
@@ -202,7 +203,9 @@ def _base_doc(command: str, parameters: dict) -> dict:
 
 def _run_suite(suite: str, args) -> list[CheckResult]:
     if suite == "cg":
-        report = verify_cg_scan(args.s_max, args.d_max, workers=args.workers)
+        report = verify_cg_scan(
+            args.s_max, args.d_max, SCAN_B_VALUES, workers=args.workers
+        )
         results = _scan_checks(report)
         for s in range(2, args.s_max + 1):
             for b, _ in GL4_CONSTANTS.values():
@@ -248,7 +251,7 @@ def _cmd_verify(args) -> int:
             f"got {args.s_max}"
         )
     if "cg" in suites:
-        check_scan_grid(args.s_max, args.d_max)
+        check_scan_grid(args.s_max, args.d_max, SCAN_B_VALUES)
     results: list[CheckResult] = []
     for suite in suites:
         results.extend(_run_suite(suite, args))

@@ -41,6 +41,9 @@ SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
 #: chi_Noether - f_{s,r,0} = (x1*...*xs) * q_{s,b} / denominator.
 GL4_CONSTANTS = {2: (8, 4320), 3: (9, 3840)}
 
+#: The b of q_{s,b} at ranks 2 and 3, the b values a scan checks by default.
+SCAN_B_VALUES = tuple(b for b, _ in GL4_CONSTANTS.values())
+
 # Generators s, p1, p2, p4 of the power-sum ring.
 _S, _P1, _P2, _P4 = MultiPoly.gens(4)
 
@@ -506,6 +509,12 @@ def q_value(degrees: tuple[int, ...], b: int) -> int:
 #: Longest violation or per-tuple list a scan cell keeps.
 _LIST_CAP = 1000
 
+#: Longest row tail a scan task builds once up front, at most 64 * 65 / 2
+#: pairs; a longer tail is copied when its row comes.  Most rows are short
+#: (under two tuples on average at d_max = 10), and a copy per row costs more
+#: than a lookup there.
+_SHORT_ROW = 64
+
 
 @dataclass
 class ScanCell:
@@ -599,14 +608,18 @@ def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
     (the first s - 1 entries, power sums m2, m4) fixes
     q0 = _q_from_power_sums(s, 0, m2, m4) and lin = 10 (m2 - s), and each
     tuple of the row is q = (b t + lin) t + q0 + b (m4 - s) with t = d^2.
+    The row's last entries d, with t, are a tail of one list from lead down
+    to 1: tails of at most _SHORT_ROW entries are built once per task, and a
+    longer one is copied when its row comes, for less than walking it costs.
+    So a task holds O(lead) values whatever s is.
     Returns one partial per entry of b_values, in order.
     """
     b_values, s, lead, keep_values = task
     runs = [(lead, 0, 0, 0)]
     squares = [d * d for d in range(lead + 1)]
     fourths = [d * d for d in squares]
-    # The last entry d of a row whose last run has value v, with t = d^2.
-    rows = [[(d, squares[d]) for d in range(v, 0, -1)] for v in range(lead + 1)]
+    pairs = [(d, squares[d]) for d in range(lead, 0, -1)]
+    short = [pairs[lead - v :] for v in range(min(lead, _SHORT_ROW) + 1)]
     count = 0
     # Per b: [min q, (runs, d) where it is, violations, omitted, kept values].
     folds = [[None, None, [], 0, [] if keep_values else None] for _ in b_values]
@@ -616,10 +629,11 @@ def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
         m4 += (s - 1 - k) * fourths[v]
         q0 = _q_from_power_sums(s, 0, m2, m4)
         lin = 10 * (m2 - s)
+        row = short[v] if v <= _SHORT_ROW else pairs[lead - v :]
         for b, fold in zip(b_values, folds):
             q0_b = q0 + b * (m4 - s)
             min_q = fold[0]
-            for d, t in rows[v]:
+            for d, t in row:
                 q = (b * t + lin) * t + q0_b
                 if min_q is None or q < min_q:
                     min_q = fold[0] = q
@@ -659,7 +673,7 @@ def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
 MAX_SCAN_TUPLES = 10**9
 
 
-def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...] = (8, 9)) -> int:
+def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...]) -> int:
     """The number of q evaluations per b of a scan; ValueError for a grid the scan refuses.
 
     Per b the scan evaluates C(s_max + d_max, s_max) - d_max - s_max tuples:
@@ -688,7 +702,7 @@ def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...] = (8, 9)) 
 def verify_cg_scan(
     s_max: int,
     d_max: int,
-    b_values: tuple[int, ...] = (8, 9),
+    b_values: tuple[int, ...] = SCAN_B_VALUES,
     workers: int = 1,
     per_tuple: bool = False,
 ) -> ScanReport:

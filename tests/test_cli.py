@@ -16,7 +16,13 @@ from ulrichci import cli, ulrich_functions
 from ulrichci.ci_invariants import CIConfig, chi_OX
 from ulrichci.cli import _scan_checks, main
 from ulrichci.polyring import MultiPoly
-from ulrichci.ulrich_functions import build_f, build_g4, verify_cg_scan
+from ulrichci.ulrich_functions import (
+    SCAN_B_VALUES,
+    build_f,
+    build_g4,
+    check_scan_grid,
+    verify_cg_scan,
+)
 
 
 def run(capsys, *argv):
@@ -53,6 +59,11 @@ def test_verify_cg_counts_tuples(capsys):
     assert code == 0
     scans = [r for r in doc["results"] if r["lemma"] == "cg/scan"]
     assert scans and all(r["witness"]["tuples_checked"] > 0 for r in scans)
+    # The suite scans SCAN_B_VALUES, which the grid check before it counts.
+    assert [r["parameters"]["b"] for r in scans] == [8, 8, 9, 9]
+    assert SCAN_B_VALUES == (8, 9)
+    checked = sum(r["witness"]["tuples_checked"] for r in scans)
+    assert checked == 2 * check_scan_grid(3, 4, SCAN_B_VALUES)
 
 
 def test_verify_range_below_suite_minimum(capsys):

@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb
@@ -34,6 +36,7 @@ from ulrichci.ulrich_functions import (
     SUPPORTED_PAIRS,
     _iter_degree_tuples,
     _q_from_power_sums,
+    _SHORT_ROW,
     _scan_slice,
     build_a,
     build_c,
@@ -497,6 +500,8 @@ def test_scan_slice_matches_q_value_fold():
     # (the walk must be iterative).
     cases += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
     cases += [(8, 1100, 2, False)]
+    # Rows longer than _SHORT_ROW, whose tails are copied as they come.
+    cases += [(9, 2, 100, True), (-1000, 3, 70, False)]
     folds = {}
     for case in cases:
         folds[case] = _q_value_fold(*case)
@@ -513,16 +518,40 @@ def test_scan_slice_matches_q_value_fold():
         assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, keep_values)
 
 
+def test_scan_task_memory_is_linear_in_lead():
+    # A task holds O(lead) values whatever s is.  A table of every row tail
+    # would hold lead^2 / 2 pairs: 2,000,000 at s = 2 here, and 20,000 at s = 3.
+    assert _SHORT_ROW < 200
+    tracemalloc.start()
+    try:
+        _scan_slice(((8,), 2, 2000, False))
+        _scan_slice(((8,), 3, 200, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_small_s_large_d_scan_is_quick():
+    # Each s = 2 task walks its lead tuples and builds no more than that.
+    start = time.perf_counter()
+    report = verify_cg_scan(2, 1000, b_values=(8,))
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert report.total_tuples == check_scan_grid(2, 1000, (8,)) == 500_499
+    assert elapsed < 5
+
+
 def test_scan_grid_count_and_bound(monkeypatch):
     # Per b: C(s_max + d_max, s_max) - d_max - s_max tuples.
     for s_max, d_max in ((2, 2), (4, 5), (7, 3), (3, 9)):
         expected = sum(comb(s + d_max - 1, s) - 1 for s in range(2, s_max + 1))
-        assert check_scan_grid(s_max, d_max) == expected, (s_max, d_max)
-    assert check_scan_grid(12, 10) == 646_624
+        assert check_scan_grid(s_max, d_max, (8,)) == expected, (s_max, d_max)
+    assert check_scan_grid(12, 10, (8, 9)) == 646_624
     # The bound counts every b, a repeated b included, and is inclusive.
     b_values = (0, 9, 9)
     total = verify_cg_scan(4, 5, b_values=b_values).total_tuples
-    assert total == 3 * check_scan_grid(4, 5) == 3 * 117
+    assert total == 3 * check_scan_grid(4, 5, b_values) == 3 * 117
     monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total)
     assert verify_cg_scan(4, 5, b_values=b_values).total_tuples == total
     monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total - 1)
