@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, islice
 from math import comb, prod
 
 from .exact_arith import binom_poly
@@ -509,11 +509,9 @@ def q_value(degrees: tuple[int, ...], b: int) -> int:
 #: Longest violation or per-tuple list a scan cell keeps.
 _LIST_CAP = 1000
 
-#: Longest row tail a scan task builds once up front, at most 64 * 65 / 2
-#: pairs; a longer tail is copied when its row comes.  Most rows are short
-#: (under two tuples on average at d_max = 10), and a copy per row costs more
-#: than a lookup there.
-_SHORT_ROW = 64
+#: Most entries of a scan task's suffix table (_suffix_table), unless its
+#: suffixes are single entries, which take one entry per degree up to lead.
+_SUFFIX_CAP = 4096
 
 
 @dataclass
@@ -590,82 +588,119 @@ def _iter_degree_tuples(s: int, d_max: int):
             yield (lead, *rest)
 
 
-def _runs_to_tuple(runs: list, d: int, s: int) -> tuple[int, ...]:
-    """The s-tuple whose first s - 1 entries are runs (value, start, ...) and whose last is d."""
-    ends = [run[1] for run in runs[1:]] + [s - 1]
-    return (*(run[0] for run, end in zip(runs, ends) for _ in range(run[1], end)), d)
+def _runs_to_tuple(runs: list, n: int) -> tuple[int, ...]:
+    """The first n entries of a tuple held as runs (value, start, ...) of equal entries."""
+    ends = [run[1] for run in runs[1:]] + [n]
+    return tuple(run[0] for run, end in zip(runs, ends) for _ in range(run[1], end))
+
+
+def _suffixes(v: int, j: int):
+    """The weakly decreasing j-tuples with entries at most v, in scan order."""
+    return combinations_with_replacement(range(v, 0, -1), j)
+
+
+def _suffix_table(s: int, lead: int) -> tuple[int, list[int], list[int], list[int]]:
+    """The suffix table (j, counts, xs, ys) of a scan task with s entries and first entry lead.
+
+    j is the longest suffix length j <= s - 2 with C(lead + j - 1, j) at
+    most _SUFFIX_CAP, and 1 at the least: at j = s - 1 a task is one row,
+    and a table that serves one row costs more to build than it saves.
+    xs and ys hold x = sum d^2 and y = sum d^4 of every weakly decreasing
+    j-tuple with entries at most lead, in scan order.  The j-tuples with
+    entries at most v are the last counts[v] = C(v + j - 1, j) of the
+    table, and a (j + 1)-tuple is an entry u followed by one of the last
+    counts[u], so each level is built from the one before and each count
+    is a running sum of the counts before.
+    """
+    squares = [d * d for d in range(lead, 0, -1)]
+    fourths = [t * t for t in squares]
+    j, counts, xs, ys = 1, list(range(lead + 1)), squares, fourths
+    while j < s - 2:
+        wider = list(accumulate(counts))
+        if wider[lead] > _SUFFIX_CAP:
+            break
+        tails = [len(xs) - count for count in counts[:0:-1]]
+        xs = [t + x for t, i in zip(squares, tails) for x in xs[i:]]
+        ys = [t + y for t, i in zip(fourths, tails) for y in ys[i:]]
+        j, counts = j + 1, wider
+    return j, counts, xs, ys
 
 
 def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
     """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead, once per b.
 
-    The tuples come in _iter_degree_tuples order.  All entries but the last
-    are held as runs (value, start, m2, m4) of equal entries, where m2 and m4
-    are the sums of d^2 and d^4 over the entries before start; the last entry
-    runs from the value of the last run down to 1.  So each step to the next
-    run layout costs O(1) whatever s is, and the entries are written out only
-    for a tuple that is kept.  One walk serves every b of the task: a row
-    (the first s - 1 entries, power sums m2, m4) fixes
-    q0 = _q_from_power_sums(s, 0, m2, m4) and lin = 10 (m2 - s), and each
-    tuple of the row is q = (b t + lin) t + q0 + b (m4 - s) with t = d^2.
-    The row's last entries d, with t, are a tail of one list from lead down
-    to 1: tails of at most _SHORT_ROW entries are built once per task, and a
-    longer one is copied when its row comes, for less than walking it costs.
-    So a task holds O(lead) values whatever s is.
+    The tuples come in _iter_degree_tuples order.  A tuple is a prefix of
+    its first s - j entries and a suffix of its last j, with j and the
+    power sums x, y of every suffix from _suffix_table; each b tables
+    c_b = (b - 5) y + 5 x^2 once.  The prefixes are walked as runs
+    (value, start, m2, m4) of equal entries, where m2 and m4 are the sums
+    of d^2 and d^4 over the entries before start, so each step to the next
+    prefix costs O(1) whatever s is.  A row (one prefix, with power sums
+    P2, P4 and last entry v) meets the table tail of the suffixes with
+    entries at most v, and for each b every tuple of the row is evaluated
+    as q = Q_b + c_b + 10 (P2 - s) x with Q_b = _q_from_power_sums(s, b, P2, P4),
+    which is q at the whole tuple.  Entries are written out only for a
+    tuple that is kept.  A task holds at most _SUFFIX_CAP (2 + len(b_values))
+    table values, or lead (2 + len(b_values)) where lead exceeds the cap.
     Returns one partial per entry of b_values, in order.
     """
     b_values, s, lead, keep_values = task
+    j, counts, xs, ys = _suffix_table(s, lead)
+    tables = [[(b - 5) * y + 5 * x * x for x, y in zip(xs, ys)] for b in b_values]
+    del ys
+    p = s - j
     runs = [(lead, 0, 0, 0)]
-    squares = [d * d for d in range(lead + 1)]
-    fourths = [d * d for d in squares]
-    pairs = [(d, squares[d]) for d in range(lead, 0, -1)]
-    short = [pairs[lead - v :] for v in range(min(lead, _SHORT_ROW) + 1)]
     count = 0
-    # Per b: [min q, (runs, d) where it is, violations, omitted, kept values].
+    # Per b: [min q, (runs, v, index in row) where it is, violations, omitted, kept values].
     folds = [[None, None, [], 0, [] if keep_values else None] for _ in b_values]
     while True:
         v, k, m2, m4 = runs[-1]
-        m2 += (s - 1 - k) * squares[v]
-        m4 += (s - 1 - k) * fourths[v]
-        q0 = _q_from_power_sums(s, 0, m2, m4)
+        m2 += (p - k) * v * v
+        m4 += (p - k) * v**4
         lin = 10 * (m2 - s)
-        row = short[v] if v <= _SHORT_ROW else pairs[lead - v :]
-        for b, fold in zip(b_values, folds):
-            q0_b = q0 + b * (m4 - s)
-            min_q = fold[0]
-            for d, t in row:
-                q = (b * t + lin) * t + q0_b
-                if min_q is None or q < min_q:
-                    min_q = fold[0] = q
-                    fold[1] = (runs[:], d)
-                if q <= 0:
-                    if len(fold[2]) < _LIST_CAP:
-                        fold[2].append((_runs_to_tuple(runs, d, s), q))
-                    else:
-                        fold[3] += 1
-                if keep_values:
-                    fold[4].append((_runs_to_tuple(runs, d, s), q))
-        count += v
-        # Advance: the rightmost entry after the lead that is still above 1
-        # drops by one, and every entry after it takes its new value.
+        start = len(xs) - counts[v]
+        row = xs[start:]
+        prefix = None
+        for b, c_b, fold in zip(b_values, tables, folds):
+            q0 = _q_from_power_sums(s, b, m2, m4)
+            qs = [q0 + c + lin * x for c, x in zip(c_b[start:], row)]
+            low = min(qs)
+            if fold[0] is None or low < fold[0]:
+                fold[0] = low
+                fold[1] = (runs[:], v, qs.index(low))
+            if low <= 0:
+                prefix = prefix or _runs_to_tuple(runs, p)
+                bad = [i for i, q in enumerate(qs) if q <= 0]
+                listed = bad[: _LIST_CAP - len(fold[2])]
+                fold[3] += len(bad) - len(listed)
+                if listed:
+                    suffixes = list(islice(_suffixes(v, j), listed[-1] + 1))
+                    fold[2].extend(((*prefix, *suffixes[i]), qs[i]) for i in listed)
+            if keep_values:
+                prefix = prefix or _runs_to_tuple(runs, p)
+                fold[4].extend(((*prefix, *suffix), q) for suffix, q in zip(_suffixes(v, j), qs))
+        count += counts[v]
+        # Advance: the rightmost prefix entry after the lead that is still
+        # above 1 drops by one, and every entry after it takes its new value.
         if v == 1:
             runs.pop()
             i = k - 1
         else:
-            i = s - 2
+            i = p - 1
         if i == 0:
             break
         w, k, m2, m4 = runs[-1]
         if k == i:
             runs.pop()
         else:
-            m2 += (i - k) * squares[w]
-            m4 += (i - k) * fourths[w]
+            m2 += (i - k) * w * w
+            m4 += (i - k) * w**4
         runs.append((w - 1, i, m2, m4))
-    return [
-        (count, min_q, _runs_to_tuple(*min_at, s), violations, omitted, values)
-        for min_q, min_at, violations, omitted, values in folds
-    ]
+    results = []
+    for min_q, (runs, v, i), violations, omitted, values in folds:
+        min_tuple = (*_runs_to_tuple(runs, p), *next(islice(_suffixes(v, j), i, None)))
+        results.append((count, min_q, min_tuple, violations, omitted, values))
+    return results
 
 
 #: Most q evaluations one scan may make, over all its b values, so that a
@@ -712,8 +747,10 @@ def verify_cg_scan(
     at least 2, for s = 2..s_max, and requires q > 0 at every point.  A grid
     of more than MAX_SCAN_TUPLES q evaluations over all b is refused before
     any work.  One task is the slice of one s with one leading entry, for
-    every b at once; it walks its tuples in order as runs of equal entries
-    with running power sums, so each q costs O(1) whatever s is.
+    every b at once (_scan_slice); it walks the prefixes of its tuples in
+    order as runs of equal entries with running power sums, and takes each
+    row of tuples sharing a prefix from a table of their suffixes, so each q
+    costs O(1) whatever s is.
     With several workers all tasks go through one process pool of at most
     os.cpu_count() processes.
     Results are folded in task order, so the report is identical for any

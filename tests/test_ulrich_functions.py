@@ -36,8 +36,9 @@ from ulrichci.ulrich_functions import (
     SUPPORTED_PAIRS,
     _iter_degree_tuples,
     _q_from_power_sums,
-    _SHORT_ROW,
+    _SUFFIX_CAP,
     _scan_slice,
+    _suffix_table,
     build_a,
     build_c,
     build_chi_prime,
@@ -486,7 +487,7 @@ def _q_value_fold(b, s, lead, keep_values):
     )
 
 
-def test_scan_slice_matches_q_value_fold():
+def test_scan_slice_matches_q_value_fold(monkeypatch):
     b_values = (-1000, -3, 0, 5, 8, 9)
     cases = [
         (b, s, lead, keep_values)
@@ -500,32 +501,80 @@ def test_scan_slice_matches_q_value_fold():
     # (the walk must be iterative).
     cases += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
     cases += [(8, 1100, 2, False)]
-    # Rows longer than _SHORT_ROW, whose tails are copied as they come.
-    cases += [(9, 2, 100, True), (-1000, 3, 70, False)]
+    # Long rows: s = 2 and 3 with leads whose tables hold one entry per d.
+    cases += [(9, 2, 100, True), (-1000, 3, 70, False), (8, 3, 100, False)]
     folds = {}
+
+    def fold(b, s, lead, keep_values):
+        if (b, s, lead, keep_values) not in folds:
+            folds[b, s, lead, keep_values] = _q_value_fold(b, s, lead, keep_values)
+        return folds[b, s, lead, keep_values]
+
     for case in cases:
-        folds[case] = _q_value_fold(*case)
         b, s, lead, keep_values = case
-        assert _scan_slice(((b,), s, lead, keep_values)) == [folds[case]], case
+        assert _scan_slice(((b,), s, lead, keep_values)) == [fold(*case)], case
     # One walk serves every b of a task, in order, a repeated b included
     # (s = 40 and 1100 test long runs and an iterative walk, whatever the b).
     many = (*b_values, 8)
     for s, lead, keep_values in {case[1:] for case in cases if case[1] < 40}:
-        expected = [
-            folds.get((b, s, lead, keep_values)) or _q_value_fold(b, s, lead, keep_values)
-            for b in many
-        ]
+        expected = [fold(b, s, lead, keep_values) for b in many]
         assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, keep_values)
+    # Small table caps: every suffix length j from 1 to s - 2, each with a
+    # table exactly at the cap and one entry past it, which takes j - 1, or
+    # at j = 1 a lead above the cap, which still takes j = 1; s = 2 takes
+    # j = 1 = s - 1, a single row.  Then 5005 violations at every j (s = 7,
+    # lead 10), past the 1000 a cell lists.  b = -4, -10 and -23 reach their
+    # minimum q in more than one row (b = -4 at (2, 2, 1) and (2, 1, 1)),
+    # where the first one is the minimum tuple.
+    many += (-4, -10, -23)
+    capped = [
+        (s, lead, comb(lead + j - 1, j) - past, max(j - past, 1), keep_values)
+        for s in (2, 3, 5, 7)
+        for lead in (2, 3, 5)
+        for j in range(1, max(s - 1, 2))
+        for past in (0, 1)
+        for keep_values in (False, True)
+    ]
+    capped += [(7, 10, comb(10 + j - 1, j), j, False) for j in range(1, 6)]
+    for s, lead, cap, j, keep_values in capped:
+        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
+        assert _suffix_table(s, lead)[0] == j, (s, lead, cap)
+        expected = [fold(b, s, lead, keep_values) for b in many]
+        assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, cap)
+    assert fold(-1000, 7, 10, False)[4] == 5005 - 1000
+
+
+def test_suffix_table_levels(monkeypatch):
+    # x and y of every j-suffix with entries <= lead, in scan order, and the
+    # count of those with entries <= v, which are the last ones of the table.
+    for cap in (1, 6, 100, _SUFFIX_CAP):
+        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
+        for s in (2, 3, 6):
+            for lead in (2, 3, 7):
+                j, counts, xs, ys = _suffix_table(s, lead)
+                suffixes = list(combinations_with_replacement(range(lead, 0, -1), j))
+                assert j == 1 or len(suffixes) <= cap, (cap, s, lead)
+                assert j >= s - 2 or comb(lead + j, j + 1) > cap, (cap, s, lead)
+                assert j <= max(s - 2, 1), (cap, s, lead)
+                assert xs == [sum(d * d for d in suffix) for suffix in suffixes]
+                assert ys == [sum(d**4 for d in suffix) for suffix in suffixes]
+                assert counts == [comb(v + j - 1, j) for v in range(lead + 1)]
+                for v in range(1, lead + 1):
+                    tail = suffixes[len(suffixes) - counts[v] :]
+                    assert all(suffix[0] <= v for suffix in tail)
+                    assert len(tail) == sum(suffix[0] <= v for suffix in suffixes)
 
 
 def test_scan_task_memory_is_linear_in_lead():
-    # A task holds O(lead) values whatever s is.  A table of every row tail
-    # would hold lead^2 / 2 pairs: 2,000,000 at s = 2 here, and 20,000 at s = 3.
-    assert _SHORT_ROW < 200
+    # A task holds O(lead) values and a suffix table of at most _SUFFIX_CAP
+    # entries per list, whatever s is.  A table of every row tail would hold
+    # lead^2 / 2 pairs: 2,000,000 at s = 2 here, and 20,000 at s = 3.  The
+    # s = 12, lead = 10 task is the largest of the benchmark grid.
     tracemalloc.start()
     try:
         _scan_slice(((8,), 2, 2000, False))
         _scan_slice(((8,), 3, 200, False))
+        _scan_slice(((8, 9), 12, 10, False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
