@@ -18,13 +18,14 @@ routes to check them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from typing import NamedTuple
 
 from . import __version__
 from .exact_arith import binom_int
+from .report import FrozenRecord
 from .ulrich_functions import GL4_CONSTANTS, deg_bracket, q_value, surface_invariants
 
 NON_EXISTENCE = "NON_EXISTENCE"
@@ -45,25 +46,24 @@ class ParityError(ValueError):
     """Raised when the determinant twist r(S-s)/2 is not an integer."""
 
 
-@dataclass(frozen=True)
-class CIConfig:
+class CIConfig(FrozenRecord):
     """A complete-intersection query: dimension, degree tuple, bundle rank."""
 
-    n: int
-    degrees: tuple[int, ...]
-    r: int
+    __slots__ = ("n", "degrees", "r")
 
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degrees)
-        if self.n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {self.n}")
+    def __init__(self, n: int, degrees, r: int):
+        degrees = tuple(int(d) for d in degrees)
+        if n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {n}")
         if not degrees or any(d < 1 for d in degrees):
             raise ValueError(f"degrees must be positive integers, got {degrees}")
         if prod(degrees) < 2:
             raise ValueError("the degree of X must be at least 2")
-        if self.r < 2:
-            raise ValueError(f"rank must be >= 2, got {self.r}")
+        if r < 2:
+            raise ValueError(f"rank must be >= 2, got {r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "r", r)
 
     @property
     def s(self) -> int:
@@ -218,8 +218,7 @@ def c2_E_coeff(cfg: CIConfig) -> tuple[Fraction, bool]:
     return e, e.denominator == 1
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(NamedTuple):
     """Numerical invariants of the Ulrich surface at n = 4.
 
     chi_noether is the Noether-formula value (K_Z^2 + c2(Z))/12 and
@@ -274,8 +273,7 @@ def _frac_doc(x):
     return int(f) if f.denominator == 1 else str(f)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable verdict for a (dimension, degrees, rank) query."""
 
     input: dict
@@ -438,8 +436,7 @@ def hypersurface_hilbert_function(n: int, d: int, m: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(NamedTuple):
     """Free-resolution shape of the rank-2 Ulrich locus in a hypersurface."""
 
     generator_degree: int
@@ -478,8 +475,7 @@ def hypersurface_resolution(n: int, d: int) -> ResolutionData:
     )
 
 
-@dataclass(frozen=True)
-class DimensionCheck:
+class DimensionCheck(NamedTuple):
     """Outcome of the hypersurface incidence dimension count."""
 
     n: int

@@ -14,7 +14,6 @@ import os
 import re
 import stat
 import sys
-import tempfile
 
 from . import __version__
 from .ci_invariants import (
@@ -165,6 +164,8 @@ def _write_output(path: str, payload: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    import tempfile  # only --output writes a file
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with open(fd, "w") as handle:

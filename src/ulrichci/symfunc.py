@@ -16,7 +16,6 @@ the restriction map.  They form an oracle pair for each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import binom_int
 from .polyring import MultiPoly, _check_nvars
-from .report import CheckResult, check, compare
+from .report import CheckResult, FrozenRecord, check, compare
 
 #: Basis partitions in expansion order (a1..a12).
 BASIS: tuple[tuple[int, ...], ...] = (
@@ -48,11 +47,10 @@ class NotSymmetric(ValueError):
     """Raised when an expansion is requested for a non-symmetric polynomial."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(FrozenRecord):
     """Weakly decreasing tuple of positive integers; () is the empty partition."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
@@ -119,23 +117,22 @@ def _monomial_sym(parts: tuple[int, ...], s: int) -> MultiPoly:
     )
 
 
-@dataclass(frozen=True)
-class SymExpansion:
+class SymExpansion(FrozenRecord):
     """Coefficients a1..a12 of a symmetric polynomial over the fixed basis.
 
     Only defined for s >= 4: in fewer variables the basis degenerates
     (for instance m1111(3) = 0) and the coefficients stop being unique.
     """
 
-    s: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("s", "coeffs")
 
-    def __post_init__(self):
-        if self.s < 4:
-            raise ValueError(f"SymExpansion needs s >= 4, got s={self.s}")
-        if len(self.coeffs) != 12:
-            raise ValueError(f"expected 12 coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, s: int, coeffs: Sequence):
+        if s < 4:
+            raise ValueError(f"SymExpansion needs s >= 4, got s={s}")
+        if len(coeffs) != 12:
+            raise ValueError(f"expected 12 coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def reconstruct(self) -> MultiPoly:
         # The basis elements have disjoint supports, so each coefficient

@@ -23,8 +23,6 @@ data both come from it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, islice
@@ -32,7 +30,7 @@ from math import comb, prod
 
 from .exact_arith import binom_poly
 from .polyring import MultiPoly, NotDivisible
-from .report import CheckResult, check, compare
+from .report import CheckResult, Record, check, compare
 from .symfunc import BASIS, expand_direct, monomial_sym
 
 SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
@@ -135,10 +133,9 @@ def _specialise(form: MultiPoly, s: int) -> MultiPoly:
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for (a, *powers), c in form.terms():
         coeffs[tuple(powers)] = coeffs.get(tuple(powers), 0) + c * s**a
-    result = MultiPoly.zero(s)
-    for powers, c in coeffs.items():
-        result = result + _power_product(*powers, s).scale(c)
-    return result
+    return MultiPoly.linear_combination(
+        s, ((c, _power_product(*powers, s)) for powers, c in coeffs.items())
+    )
 
 
 @lru_cache(maxsize=None)
@@ -419,12 +416,11 @@ def _match_table(
     """
     s = built.nvars
     if s < 4:
-        expected = MultiPoly.zero(s)
-        for coeff, lam in zip(coeffs, BASIS):
-            if coeff:
-                expected = expected + monomial_sym(lam, s).scale(coeff)
-        expected = expected.scale(prefactor).times_all_vars()
-        return compare(lemma, parameters, built, expected)
+        expected = MultiPoly.linear_combination(
+            s,
+            ((prefactor * c, monomial_sym(lam, s)) for c, lam in zip(coeffs, BASIS) if c),
+        )
+        return compare(lemma, parameters, built, expected.times_all_vars())
     try:
         actual = expand_direct(built.divide_all_vars() / prefactor).coeffs
     except ValueError as exc:  # NotDivisible, NotSymmetric or outside the basis span
@@ -514,18 +510,39 @@ _LIST_CAP = 1000
 _SUFFIX_CAP = 4096
 
 
-@dataclass
-class ScanCell:
+class ScanCell(Record):
     """Aggregate of one (b, s) slice of the positivity scan."""
 
-    b: int
-    s: int
-    tuples_checked: int = 0
-    min_q: int | None = None
-    min_tuple: tuple[int, ...] | None = None
-    violations: list = field(default_factory=list)
-    violations_omitted: int = 0
-    per_tuple: list | None = None
+    __slots__ = (
+        "b",
+        "s",
+        "tuples_checked",
+        "min_q",
+        "min_tuple",
+        "violations",
+        "violations_omitted",
+        "per_tuple",
+    )
+
+    def __init__(
+        self,
+        b: int,
+        s: int,
+        tuples_checked: int = 0,
+        min_q: int | None = None,
+        min_tuple: tuple[int, ...] | None = None,
+        violations: list | None = None,
+        violations_omitted: int = 0,
+        per_tuple: list | None = None,
+    ):
+        self.b = b
+        self.s = s
+        self.tuples_checked = tuples_checked
+        self.min_q = min_q
+        self.min_tuple = min_tuple
+        self.violations = [] if violations is None else violations
+        self.violations_omitted = violations_omitted
+        self.per_tuple = per_tuple
 
     @property
     def ok(self) -> bool:
@@ -549,14 +566,16 @@ class ScanCell:
         return doc
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     """Deterministic fold of all scan cells."""
 
-    s_max: int
-    d_max: int
-    b_values: tuple[int, ...]
-    cells: list[ScanCell]
+    __slots__ = ("s_max", "d_max", "b_values", "cells")
+
+    def __init__(self, s_max: int, d_max: int, b_values: tuple[int, ...], cells: list[ScanCell]):
+        self.s_max = s_max
+        self.d_max = d_max
+        self.b_values = b_values
+        self.cells = cells
 
     @property
     def ok(self) -> bool:
@@ -770,7 +789,8 @@ def verify_cg_scan(
     tasks = [(b_values, s, lead, keep[s]) for s in s_range for lead in range(d_max, 1, -1)]
     if workers > 1:
         # A fork-started pool forks all its workers at once: never more than the CPUs.
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_scan_slice, tasks))
     else:
         partials = list(map(_scan_slice, tasks))
@@ -840,3 +860,15 @@ def verify_cg_induction(s: int, b: int) -> list[CheckResult]:
         earlier += a
     results.append(positivity("cg/sos", build_q(s, b), sos))
     return results
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use (PEP 562), so a process
+    # that never starts a pool does not load multiprocessing; it stays a
+    # module attribute that a caller may read or replace.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

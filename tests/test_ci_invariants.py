@@ -1,6 +1,7 @@
 """Tests for complete-intersection invariants and the certifier."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from ulrichci import __version__
 from ulrichci.ci_invariants import (
     EXCLUDED,
     INCONCLUSIVE,
     NON_EXISTENCE,
     CIConfig,
+    Certificate,
     ParityError,
     c2X_coeff,
     c2_E_coeff,
@@ -60,6 +63,38 @@ def test_config_validation():
         CIConfig(4, (1,), 2)  # degree of X must be >= 2
     with pytest.raises(ValueError):
         CIConfig(4, (2,), 1)
+
+
+def test_records_are_frozen_values():
+    cfg = CIConfig(4, [3, "2"], 2)
+    assert cfg.degrees == (3, 2) and cfg != CIConfig(4, (3, 2), 3)
+    equal_pairs = [
+        (cfg, CIConfig(n=4, degrees=(3, 2), r=2)),
+        (rank2_surface_data(QUADRIC), rank2_surface_data(CIConfig(4, (2,), 2))),
+        (hypersurface_resolution(3, 6), hypersurface_resolution(3, 6)),
+        (hyper3_dimension_check(4, 3), hyper3_dimension_check(4, 3)),
+    ]
+    for a, b in equal_pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert hypersurface_resolution(3, 6) != hypersurface_resolution(3, 7)
+    cert = certify(5, (3, 2), 3)
+    assert cert == certify(5, (2, 3), 3) != certify(5, (3, 2), 2)
+    bare = Certificate({"n": 4}, "v", "why", {}, [])
+    assert bare.tool_version == __version__
+    assert bare == Certificate(input={"n": 4}, verdict="v", reason="why", witnesses={}, hypotheses=[])
+    frozen = [
+        (cfg, "r"),
+        (equal_pairs[1][0], "chi_hilbert"),
+        (equal_pairs[2][0], "socle_degree"),
+        (equal_pairs[3][0], "lhs"),
+        (cert, "verdict"),
+    ]
+    for record, name in frozen:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 def test_derived_quantities():

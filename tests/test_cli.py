@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -34,6 +35,26 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """sys.modules after running code in a fresh interpreter with the package on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code += "\nimport sys; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_only_what_commands_need():
+    # The pool, dataclasses and tempfile are loaded where they are used, if at all.
+    loaded = _fresh_modules("import ulrichci.cli") - _fresh_modules("")
+    assert "ulrichci.cli" in loaded
+    lazy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "tempfile"}
+    assert loaded & lazy == set()
 
 
 # -- verify ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the pass/fail record helpers."""
 
 from ulrichci.polyring import MultiPoly
-from ulrichci.report import FAIL, PASS, check, compare
+from ulrichci.report import FAIL, PASS, CheckResult, check, compare
 
 
 def test_check_keeps_witness_only_on_failure():
@@ -31,3 +31,16 @@ def test_compare_builds_difference_only_on_failure():
     failed = compare("x", {"s": 2}, x1 + 1, x1)
     assert failed.status == FAIL
     assert failed.witness == {"difference": "1 * x1^0*x2^0"}
+
+
+def test_check_result_record_contract():
+    a, b = CheckResult("x"), CheckResult(lemma="x")
+    assert a == b and a.to_dict() == {"lemma": "x", "parameters": {}, "status": PASS}
+    assert a.parameters is not b.parameters
+    a.parameters["s"] = 1
+    assert b.parameters == {} and a != b
+    full = CheckResult("x", {"s": 1}, FAIL, {"d": 2})
+    assert full == CheckResult(witness={"d": 2}, status=FAIL, parameters={"s": 1}, lemma="x")
+    assert full != CheckResult("x", {"s": 1}, FAIL, {"d": 3})
+    full.status = PASS  # records are mutable, so they do not hash
+    assert full.ok and CheckResult.__hash__ is None

@@ -1,5 +1,6 @@
 """Tests for monomial symmetric polynomials and the two expansion algorithms."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,6 +42,22 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((0,))
+
+
+def test_partition_and_expansion_are_frozen_values():
+    assert Partition([3, 1, 1]).parts == (3, 1, 1) and Partition().parts == ()
+    assert Partition((2, 1)) == Partition([2, 1]) != Partition((2, 2))
+    assert hash(Partition((2, 1))) == hash(Partition([2, 1]))
+    a = SymExpansion(4, (1,) * 12)
+    b = SymExpansion(s=4, coeffs=[Fraction(1)] * 12)
+    assert a.coeffs == (Fraction(1),) * 12 and type(a.coeffs[0]) is Fraction
+    assert a == b and hash(a) == hash(b) and a != SymExpansion(5, (1,) * 12)
+    assert pickle.loads(pickle.dumps(a)) == a
+    for record, name in ((Partition((1,)), "parts"), (a, "coeffs"), (a, "s")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 # -- monomial symmetric polynomials -----------------------------------------------
@@ -143,8 +160,10 @@ def test_expand_orbit_check_counts_terms():
 def test_expand_requires_four_variables():
     with pytest.raises(ValueError):
         expand_direct(MultiPoly.const(3, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="SymExpansion needs s >= 4, got s=3"):
         SymExpansion(3, (0,) * 12)
+    with pytest.raises(ValueError, match="expected 12 coefficients, got 11"):
+        SymExpansion(4, (0,) * 11)
 
 
 def test_expand_reconstruct_roundtrip(random_expansion):

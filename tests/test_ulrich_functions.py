@@ -6,6 +6,7 @@ inclusion-exclusion binomial sums directly through binom_poly, term by term,
 so the two paths are fully independent.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -34,6 +35,8 @@ from ulrichci.symfunc import (
 from ulrichci.ulrich_functions import (
     GL4_CONSTANTS,
     SUPPORTED_PAIRS,
+    ScanCell,
+    ScanReport,
     _iter_degree_tuples,
     _q_from_power_sums,
     _SUFFIX_CAP,
@@ -403,6 +406,20 @@ def test_scan_small_grid():
         assert count == comb(4 + s - 1, s) - 1
 
 
+def test_scan_records_keep_their_contracts():
+    a, b = ScanCell(8, 2), ScanCell(b=8, s=2)
+    assert a == b and a.ok and a.violations is not b.violations
+    a.violations.append(((2, 1), -1))
+    assert b.violations == [] and a != b and not a.ok
+    assert b.to_dict() == {
+        "b": 8, "s": 2, "tuples_checked": 0, "min_q": None, "min_tuple": None, "violations": []
+    }
+    report = ScanReport(2, 3, (8,), [b])
+    assert report == ScanReport(s_max=2, d_max=3, b_values=(8,), cells=[ScanCell(8, 2)])
+    assert report.ok and report.total_tuples == 0
+    assert ScanCell.__hash__ is None and ScanReport.__hash__ is None
+
+
 def test_scan_workers_do_not_change_report():
     grids = [
         {"s_max": 5, "d_max": 5},
@@ -419,6 +436,10 @@ def test_scan_workers_do_not_change_report():
 
 
 def test_scan_uses_one_pool(monkeypatch):
+    # The module imports the pool class on first read and keeps it.
+    monkeypatch.delitem(vars(ulrich_functions), "ProcessPoolExecutor", raising=False)
+    assert ulrich_functions.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    assert "ProcessPoolExecutor" in vars(ulrich_functions)
     entered = []
 
     class CountingPool(ulrich_functions.ProcessPoolExecutor):
