@@ -58,7 +58,7 @@ MAX_TWISTS = 10_000
 
 
 def _over_pairs(verify):
-    return lambda s, args: [c for r, m in SUPPORTED_PAIRS for c in verify(s, r, m)]
+    return lambda s: [c for r, m in SUPPORTED_PAIRS for c in verify(s, r, m)]
 
 
 #: The suites run once per s: suite -> (checks at one s, smallest valid s,
@@ -67,11 +67,11 @@ def _over_pairs(verify):
 _RANGED_SUITES = {
     "tf0": (_over_pairs(verify_tf0), 1, (1, 6)),
     "tf1": (_over_pairs(verify_tf1), 1, (1, 6)),
-    "tf2": (lambda s, args: verify_tf2_table(s), 1, (4, 6)),
-    "tf2bis": (lambda s, args: verify_tf2bis(s), 5, (5, 6)),
-    "gl1": (lambda s, args: verify_gl1(s), 4, (4, 6)),
-    "gl2": (lambda s, args: verify_gl2(s), 1, (1, 6)),
-    "gl4": (lambda s, args: verify_gl4(s), 4, (4, 6)),
+    "tf2": (verify_tf2_table, 1, (4, 6)),
+    "tf2bis": (verify_tf2bis, 5, (5, 6)),
+    "gl1": (verify_gl1, 4, (4, 6)),
+    "gl2": (verify_gl2, 1, (1, 6)),
+    "gl4": (verify_gl4, 4, (4, 6)),
 }
 
 SUITES = ("all", *_RANGED_SUITES, "cg")
@@ -123,16 +123,6 @@ def _glue_signed_values(argv: list[str]) -> list[str]:
         else:
             out.append(arg)
     return out
-
-
-def _default_workers() -> int:
-    env = os.environ.get("ULRICHCI_WORKERS")
-    if not env:
-        return 1
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"ULRICHCI_WORKERS {exc}") from None
 
 
 def _replaceable(path: str) -> bool:
@@ -219,7 +209,7 @@ def _run_suite(suite: str, args) -> list[CheckResult]:
         if args.suite != "all":
             raise ValueError(f"suite {suite} requires s >= {min_s}")
         low = min_s
-    return [c for s in range(low, high + 1) for c in checks_at(s, args)]
+    return [c for s in range(low, high + 1) for c in checks_at(s)]
 
 
 def _scan_checks(report: ScanReport) -> list[CheckResult]:
@@ -447,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="accepted and ignored: every check is exact and samples nothing",
     )
-    p_verify.add_argument("--workers", type=_positive_int)
+    p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_inv = sub.add_parser(
@@ -469,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--s-max", type=int, required=True)
     p_scan.add_argument("--d-max", type=int, required=True)
     p_scan.add_argument("--b", default="8,9", help='comma separated, e.g. "8,9"')
-    p_scan.add_argument("--workers", type=_positive_int)
+    p_scan.add_argument("--workers", type=_positive_int, default=1)
     p_scan.add_argument(
         "--list-tuples",
         action="store_true",
@@ -488,10 +478,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     argv = _glue_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        workers = _default_workers()
         args = _PARSER.parse_args(argv)
-        if "workers" in args and args.workers is None:
-            args.workers = workers
         return args.func(args)
     except (ValueError, ParityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,26 +132,6 @@ class MultiPoly:
     def gens(cls, nvars: int) -> list["MultiPoly"]:
         return [cls.variable(nvars, i) for i in range(nvars)]
 
-    @classmethod
-    def linear_combination(cls, nvars: int, pairs) -> "MultiPoly":
-        """sum(c * poly for c, poly in pairs) over one common denominator and one gcd pass."""
-        _check_nvars(nvars)
-        parts = []
-        for coeff, poly in pairs:
-            if poly.nvars != nvars:
-                raise DimensionMismatch(f"operand has {poly.nvars} variables, expected {nvars}")
-            c = _exact(coeff)
-            if c:
-                parts.append((c.numerator, c.denominator * poly._den, poly._num))
-        den = lcm(*(d for _, d, _ in parts))
-        out: dict[Exponents, int] = {}
-        get = out.get
-        for p, d, num in parts:
-            lift = p * (den // d)
-            for e, v in num.items():
-                out[e] = get(e, 0) + lift * v
-        return cls._reduced(nvars, {e: c for e, c in out.items() if c}, den)
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:

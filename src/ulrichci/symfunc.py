@@ -9,9 +9,11 @@ exponent multiset is the partition lambda (zero when lambda has more parts
 than variables).  Every symmetric polynomial of degree at most 4 in s >= 4
 variables is a unique rational combination of these.
 
-Two independent expansion algorithms are provided: reading coefficients off
-leading monomials, and restriction to four variables followed by inverting
-the restriction map.  They form an oracle pair for each other.
+from_basis(coeffs, s) builds the combination of the basis with the given
+coefficients in s variables, for every s >= 1.  Two independent expansion
+algorithms go the other way: reading coefficients off leading monomials, and
+restriction to four variables followed by inverting the restriction map.
+They form an oracle pair for each other.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import binom_int
-from .polyring import MultiPoly, _check_nvars
+from .polyring import MultiPoly, _check_nvars, _exact
 from .report import CheckResult, FrozenRecord, check, compare
 
 #: Basis partitions in expansion order (a1..a12).
@@ -135,16 +137,29 @@ class SymExpansion(FrozenRecord):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def reconstruct(self) -> MultiPoly:
-        # The basis elements have disjoint supports, so each coefficient
-        # fills its own orbit of terms over the common denominator.
-        den = lcm(*(c.denominator for c in self.coeffs))
-        num: dict[tuple[int, ...], int] = {}
-        for coeff, lam in zip(self.coeffs, BASIS):
-            if coeff:
-                orbit = _monomial_sym(lam, self.s)._num
-                lifted = coeff.numerator * (den // coeff.denominator)
-                num.update(dict.fromkeys(orbit, lifted))
-        return MultiPoly._reduced(self.s, num, den)
+        return from_basis(self.coeffs, self.s)
+
+
+def from_basis(coeffs: Sequence, s: int) -> MultiPoly:
+    """The combination sum(coeffs[i] * BASIS[i]) as a polynomial in s variables.
+
+    Defined for every 1 <= s <= MAX_VARS: below s = 4 the partitions with
+    more than s parts drop out, since m_lambda(s) = 0 for them.  The coefficients
+    are ints or Fractions; a float raises TypeError.
+    """
+    _check_nvars(s)
+    if len(coeffs) != 12:
+        raise ValueError(f"expected 12 coefficients, got {len(coeffs)}")
+    coeffs = [_exact(c) for c in coeffs]
+    # The basis elements have disjoint supports, so each coefficient
+    # fills its own orbit of terms over the common denominator.
+    den = lcm(*(c.denominator for c in coeffs))
+    num: dict[tuple[int, ...], int] = {}
+    for coeff, lam in zip(coeffs, BASIS):
+        if coeff:
+            orbit = _monomial_sym(lam, s)._num
+            num.update(dict.fromkeys(orbit, coeff.numerator * (den // coeff.denominator)))
+    return MultiPoly._reduced(s, num, den)
 
 
 def _require_expandable(G: MultiPoly) -> None:

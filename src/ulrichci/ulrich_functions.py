@@ -12,7 +12,10 @@ Each function is written once, as a polynomial in the power-sum ring
 Q[s, p1, p2, p4]: s counts the degrees x1..xs and p_k = x1^k + ... + xs^k
 (Hirzebruch-Riemann-Roch needs no p3).  All but q are divisible by
 x1*...*xs, which the ring forms leave out.  An identity between ring forms
-holds for every s at once; build_*(s, ...) specialise the forms to s variables.
+holds for every s at once.  build_*(s, ...) specialise the forms to s
+variables through the s-free transition from the power products
+p1^i p2^j p4^k to the basis m4 ... 1 (_in_basis), which symfunc.from_basis
+turns into a polynomial in s variables.
 
 The Noether route of the Ulrich surface (deg_bracket, surface_invariants)
 takes ring elements or exact numbers and runs the same arithmetic on either:
@@ -31,7 +34,7 @@ from math import comb, prod
 from .exact_arith import binom_poly
 from .polyring import MultiPoly, NotDivisible
 from .report import CheckResult, Record, check, compare
-from .symfunc import BASIS, expand_direct, monomial_sym
+from .symfunc import expand_direct, from_basis, monomial_sym
 
 SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
 
@@ -122,20 +125,29 @@ def _noether_forms() -> dict[str, MultiPoly]:
 
 
 @lru_cache(maxsize=None)
-def _power_product(i: int, j: int, k: int, s: int) -> MultiPoly:
-    """p1^i * p2^j * p4^k in s variables."""
-    p1, p2, p4 = (monomial_sym((e,), s) for e in (1, 2, 4))
-    return prod([p1] * i + [p2] * j + [p4] * k, start=MultiPoly.const(s, 1))
+def _in_basis(i: int, j: int, k: int) -> tuple[int, ...]:
+    """The integer coefficients of p1^i * p2^j * p4^k (i + 2j + 4k <= 4) in BASIS.
+
+    The transition from power products to the m_lambda does not depend on the
+    number of variables (Macdonald I.6), and m_lambda(s) = 0 when lambda has
+    more than s parts, so the expansion at s = 4 holds for every s >= 1.
+    """
+    p1, p2, p4 = (monomial_sym((e,), 4) for e in (1, 2, 4))
+    product = prod([p1] * i + [p2] * j + [p4] * k, start=MultiPoly.const(4, 1))
+    coeffs = expand_direct(product).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"p1^{i} p2^{j} p4^{k} has a non-integer m-basis coefficient")
+    return tuple(c.numerator for c in coeffs)
 
 
 def _specialise(form: MultiPoly, s: int) -> MultiPoly:
     """form in s variables: s becomes the integer and p_k = x1^k + ... + xs^k."""
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for (a, *powers), c in form.terms():
-        coeffs[tuple(powers)] = coeffs.get(tuple(powers), 0) + c * s**a
-    return MultiPoly.linear_combination(
-        s, ((c, _power_product(*powers, s)) for powers, c in coeffs.items())
-    )
+    totals = [0] * 12
+    for (a, *powers), c in form._num.items():
+        lifted = c * s**a
+        for n, t in enumerate(_in_basis(*powers)):
+            totals[n] += lifted * t
+    return from_basis([Fraction(n, form._den) for n in totals], s)
 
 
 @lru_cache(maxsize=None)
@@ -411,16 +423,13 @@ def _match_table(
     For s >= 4 the coefficients of built / (prefactor * x1..xs) are matched
     one by one in the basis, and a built polynomial that is not divisible by
     x1..xs or has no expansion fails with the error.  For s in {1, 2, 3} the
-    basis degenerates, so the combination is rebuilt with the convention
-    m_lambda(s) = 0 for long partitions and compared as a raw polynomial.
+    basis degenerates, so the combination is rebuilt by from_basis and
+    compared as a raw polynomial.
     """
     s = built.nvars
     if s < 4:
-        expected = MultiPoly.linear_combination(
-            s,
-            ((prefactor * c, monomial_sym(lam, s)) for c, lam in zip(coeffs, BASIS) if c),
-        )
-        return compare(lemma, parameters, built, expected.times_all_vars())
+        expected = from_basis([prefactor * c for c in coeffs], s).times_all_vars()
+        return compare(lemma, parameters, built, expected)
     try:
         actual = expand_direct(built.divide_all_vars() / prefactor).coeffs
     except ValueError as exc:  # NotDivisible, NotSymmetric or outside the basis span

@@ -190,33 +190,6 @@ def test_dimension_mismatch_raises():
         x(0, 2) * MultiPoly.variable(3, 0)
 
 
-@given(st.lists(st.tuples(coefficients | st.just(Fraction(0)), polys), max_size=5))
-@settings(max_examples=50)
-def test_linear_combination_matches_repeated_sum(pairs):
-    expected = MultiPoly.zero(2)
-    for c, p in pairs:
-        expected = expected + p.scale(c)
-    combined = MultiPoly.linear_combination(2, pairs)
-    assert combined == expected
-    assert_canonical(combined)
-
-
-def test_linear_combination_edge_cases():
-    p = MultiPoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(3, 4)})
-    q = MultiPoly(2, {(1, 0): Fraction(1, 10), (0, 0): 2})
-    mixed = [(Fraction(5, 3), p), (-2, q), (Fraction(7, 2), x(1))]
-    assert MultiPoly.linear_combination(2, mixed) == p.scale(Fraction(5, 3)) - 2 * q + x(1).scale(
-        Fraction(7, 2)
-    )
-    zero = MultiPoly.linear_combination(2, [(Fraction(1, 3), p), (Fraction(-1, 3), p)])
-    assert zero == MultiPoly.zero(2) and zero._den == 1
-    assert MultiPoly.linear_combination(2, []) == MultiPoly.zero(2)
-    with pytest.raises(DimensionMismatch):
-        MultiPoly.linear_combination(2, [(1, p), (1, MultiPoly.variable(3, 0))])
-    with pytest.raises(TypeError):
-        MultiPoly.linear_combination(2, [(0.5, p)])
-
-
 @given(polys, polys, polys)
 @settings(max_examples=50)
 def test_ring_axioms(p, q, r):

@@ -45,3 +45,31 @@ def test_no_unused_imports():
     assert modules
     unused = {path.name: _unused_imports(path) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+#: Names through which a module would read the process environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Each os.environ/os.getenv read in a module, as "line: name"."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT
+        ):
+            reads.append(f"{node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"{node.lineno}: {a.name}" for a in node.names if a.name in ENVIRONMENT]
+    return reads
+
+
+def test_no_module_reads_the_environment():
+    # Options are the one way to configure a run, so no knob can hide in the environment.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    reads = {path.name: _environment_reads(path) for path in modules}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

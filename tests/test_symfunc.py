@@ -16,6 +16,7 @@ from ulrichci.symfunc import (
     _restriction_map,
     expand_direct,
     expand_via_restriction,
+    from_basis,
     monomial_sym,
     restriction_coefficients,
     substitution_identities,
@@ -172,6 +173,45 @@ def test_expand_reconstruct_roundtrip(random_expansion):
         for _ in range(10):
             expansion = random_expansion(s, rng)
             assert expand_direct(expansion.reconstruct()).coeffs == expansion.coeffs
+
+
+def _basis_sum(c, s):
+    """Reference: sum(c[i] * m_lambda_i(s)) by repeated addition."""
+    total = MultiPoly.zero(s)
+    for coeff, lam in zip(c, BASIS):
+        total = total + monomial_sym(lam, s).scale(coeff)
+    return total
+
+
+def test_from_basis_matches_reconstruct(random_expansion):
+    rng = random.Random(11)
+    for s in (4, 5, 8, 12):
+        for _ in range(5):
+            c = random_expansion(s, rng).coeffs
+            assert from_basis(c, s) == SymExpansion(s, c).reconstruct() == _basis_sum(c, s)
+
+
+def test_from_basis_drops_long_partitions_below_four_variables():
+    # m_lambda(s) = 0 when lambda has more than s parts.
+    for s in (1, 2, 3):
+        short = [int(len(lam) <= s) for lam in BASIS]
+        assert from_basis((1,) * 12, s) == _basis_sum(short, s)
+    assert from_basis(coeffs(a4=3, a8=Fraction(1, 2)), 2) == MultiPoly.zero(2)
+    only_m1111 = from_basis(coeffs(a5=Fraction(2, 3)), 3)
+    assert only_m1111 == MultiPoly.zero(3) and only_m1111._den == 1
+
+
+def test_from_basis_edge_cases():
+    for s in (1, 4, 12):
+        zero = from_basis((0,) * 12, s)
+        assert zero == MultiPoly.zero(s) and zero._den == 1
+    for s in (0, 13):
+        with pytest.raises(ValueError):
+            from_basis((1,) * 12, s)
+    with pytest.raises(TypeError, match="inexact float"):
+        from_basis((0.5,) + (0,) * 11, 4)
+    with pytest.raises(ValueError, match="expected 12 coefficients, got 11"):
+        from_basis((1,) * 11, 4)
 
 
 # -- restriction expansion -------------------------------------------------------------

@@ -16,7 +16,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -27,6 +27,7 @@ from ulrichci.symfunc import (
     SymExpansion,
     expand_direct,
     expand_via_restriction,
+    from_basis,
     monomial_sym,
     restriction_coefficients,
     verify_tf2_table,
@@ -294,6 +295,50 @@ def test_gl4_holds_for_every_s(r, noether):
     lhs = uf._noether_forms()[noether] - uf._f_form(r, 0)
     assert lhs == uf._q_from_power_sums(uf._S, b, uf._P2, uf._P4) / denominator
     assert GL4_CONSTANTS == {2: (8, 4320), 3: (9, 3840)}
+
+
+def _power_product(i, j, k, s):
+    """Reference: p1^i * p2^j * p4^k multiplied out in s variables."""
+    p1, p2, p4 = (monomial_sym((e,), s) for e in (1, 2, 4))
+    return prod([p1] * i + [p2] * j + [p4] * k, start=MultiPoly.const(s, 1))
+
+
+#: The ten power products p1^i p2^j p4^k of weight i + 2j + 4k <= 4.
+POWER_PRODUCTS = [
+    (i, j, k) for k in range(2) for j in range(3) for i in range(5) if i + 2 * j + 4 * k <= 4
+]
+
+
+def test_power_products_in_basis_hold_for_every_s():
+    # The m-basis coefficients, taken once at s = 4, rebuild each product in 1..12 variables.
+    assert len(POWER_PRODUCTS) == 10
+    for powers in POWER_PRODUCTS:
+        coeffs = ulrich_functions._in_basis(*powers)
+        assert len(coeffs) == 12 and all(type(c) is int for c in coeffs)
+        for s in range(1, 13):
+            assert from_basis(coeffs, s) == _power_product(*powers, s), (powers, s)
+
+
+def test_in_basis_refuses_a_non_integer_coefficient(monkeypatch):
+    half = SymExpansion(4, (Fraction(1, 2),) + (0,) * 11)
+    monkeypatch.setattr(ulrich_functions, "expand_direct", lambda poly: half)
+    with pytest.raises(ArithmeticError, match="non-integer m-basis coefficient"):
+        ulrich_functions._in_basis.__wrapped__(1, 0, 0)
+
+
+def test_specialise_matches_multiplied_out_power_products():
+    # Every ring form, specialised at s = 1..12, against the sum of its terms
+    # c * s^a * p1^i p2^j p4^k with the power products multiplied out.
+    uf = ulrich_functions
+    forms = [uf._f_form(r, m) for r, m in SUPPORTED_PAIRS]
+    forms += list(uf._noether_forms().values())
+    forms += [uf._q_from_power_sums(uf._S, b, uf._P2, uf._P4) for b in (8, 9)]
+    for s in range(1, 13):
+        for form in forms:
+            expected = MultiPoly.zero(s)
+            for (a, i, j, k), c in form.terms():
+                expected = expected + _power_product(i, j, k, s).scale(c * s**a)
+            assert uf._specialise(form, s) == expected, s
 
 
 def test_import_builds_no_power_sum_form():
