@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from operator import index
 from typing import NamedTuple
 
 from . import __version__
@@ -47,12 +48,15 @@ class ParityError(ValueError):
 
 
 class CIConfig(FrozenRecord):
-    """A complete-intersection query: dimension, degree tuple, bundle rank."""
+    """A complete-intersection query: dimension, degree tuple, bundle rank.
+
+    Each value must be an integer; a float raises TypeError.
+    """
 
     __slots__ = ("n", "degrees", "r")
 
     def __init__(self, n: int, degrees, r: int):
-        degrees = tuple(int(d) for d in degrees)
+        n, r, degrees = index(n), index(r), tuple(map(index, degrees))
         if n < 2:
             raise ValueError(f"dimension n must be >= 2, got {n}")
         if not degrees or any(d < 1 for d in degrees):
@@ -237,29 +241,22 @@ class SurfaceData(NamedTuple):
         return self.chi_noether - self.chi_hilbert
 
 
-def _surface_data(cfg: CIConfig, r: int) -> SurfaceData:
-    if cfg.n != 4 or cfg.r != r:
-        raise ValueError(f"rank-{r} surface data requires n = 4 and r = {r}")
+def surface_data(cfg: CIConfig) -> SurfaceData:
+    """Invariants of the rank-r Ulrich surface on a fourfold complete intersection.
+
+    Needs n = 4 and r in {2, 3}.  At rank 3, K_Z.H comes from Riemann-Roch
+    on Z, so it needs chi(O_Z) and chi(O_Z(1)); raises ParityError when u is
+    not an integer.
+    """
+    r = cfg.r
+    if cfg.n != 4 or r not in (2, 3):
+        raise ValueError(f"surface data requires n = 4 and r in {{2, 3}}, got n={cfg.n}, r={r}")
     cfgp = cfg.padded(4)
     degz = deg_Z(cfgp)
     chi0 = chi_OZ(cfgp, 0)
     chi1 = chi_OZ(cfgp, 1) if r == 3 else None
     invariants = surface_invariants(r, cfgp.s, cfgp.S, cfgp.S2, degz, chi0, chi1)
     return SurfaceData(*invariants, chi_hilbert=chi0)
-
-
-def rank2_surface_data(cfg: CIConfig) -> SurfaceData:
-    """Invariants of the rank-2 Ulrich surface on a fourfold complete intersection."""
-    return _surface_data(cfg, 2)
-
-
-def rank3_surface_data(cfg: CIConfig) -> SurfaceData:
-    """Invariants of the rank-3 Ulrich surface on a fourfold complete intersection.
-
-    K_Z.H comes from Riemann-Roch on Z, so it needs chi(O_Z) and chi(O_Z(1));
-    raises ParityError when u is not an integer.
-    """
-    return _surface_data(cfg, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,8 @@ def certify(n: int, degrees, r: int) -> Certificate:
     """Decide Ulrich non-existence for rank r <= 3 on a complete intersection.
 
     Requires n >= 4, every degree >= 2 and r in {1, 2, 3}; raises ValueError
-    otherwise.  The decision path: rank 1 never admits Ulrich line bundles off
+    otherwise, and TypeError for a value that is not an integer, such as a
+    float.  The decision path: rank 1 never admits Ulrich line bundles off
     projective space; the fourfold quadric (rank 2) and fourfold (2,2) types
     are excluded exceptions; dimensions above 4 reduce to 4 by hyperplane
     sections; then either the determinant-twist parity or the positivity of
@@ -306,7 +304,7 @@ def certify(n: int, degrees, r: int) -> Certificate:
     certifies non-existence.  Padding further would change witness values
     but never the verdict.
     """
-    degrees = tuple(int(x) for x in degrees)
+    n, r, degrees = index(n), index(r), tuple(map(index, degrees))
     if n < 4:
         raise ValueError(f"certification requires n >= 4, got n={n}")
     if not degrees:

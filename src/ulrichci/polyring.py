@@ -14,7 +14,6 @@ processes.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -33,9 +32,6 @@ class DimensionMismatch(ValueError):
 
 class NotDivisible(ValueError):
     """Raised when a polynomial is not divisible by the product of all variables."""
-
-
-_TERM_RE = re.compile(r"^x(\d+)\^(\d+)$")
 
 
 def _check_nvars(nvars) -> None:
@@ -328,14 +324,14 @@ class MultiPoly:
             for e, c in self._num.items()
         )
 
-    # -- serialization -------------------------------------------------------
+    # -- text form ---------------------------------------------------------
 
     def to_string(self) -> str:
         """Canonical text form: terms in lex-descending exponent order.
 
         Every term spells out all variables ("c * x1^a1*...*xs^as") so the
-        variable count round-trips; the zero polynomial serializes as a single
-        term with coefficient 0.
+        variable count shows; the zero polynomial prints as a single term with
+        coefficient 0.  Witnesses carry this text.
         """
         items = sorted(self._num.items(), key=lambda kv: kv[0], reverse=True)
         if not items:
@@ -350,31 +346,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.to_string()!r})"
-
-    @classmethod
-    def from_string(cls, text: str) -> "MultiPoly":
-        """Parse the canonical text form produced by to_string()."""
-        terms: dict[Exponents, Fraction] = {}
-        nvars = None
-        for chunk in text.split(" + "):
-            coeff_str, _, mono = chunk.partition(" * ")
-            if not mono:
-                raise ValueError(f"malformed term {chunk!r}")
-            coeff = Fraction(coeff_str.strip())
-            exps_by_index: dict[int, int] = {}
-            for factor in mono.split("*"):
-                match = _TERM_RE.match(factor.strip())
-                if not match:
-                    raise ValueError(f"malformed variable factor {factor!r}")
-                exps_by_index[int(match.group(1)) - 1] = int(match.group(2))
-            width = max(exps_by_index) + 1
-            if nvars is None:
-                nvars = width
-            elif width != nvars:
-                raise ValueError("inconsistent variable counts between terms")
-            exps = tuple(exps_by_index.get(i, 0) for i in range(nvars))
-            if coeff:
-                terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        if nvars is None:
-            raise ValueError("empty polynomial text")
-        return cls(nvars, terms)

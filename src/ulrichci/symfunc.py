@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact_arith import binom_int
 from .polyring import MultiPoly, _check_nvars, _exact
@@ -63,40 +63,6 @@ class Partition(FrozenRecord):
         object.__setattr__(self, "parts", parts)
 
 
-def iter_arrangements(exps: Sequence[int], s: int) -> Iterator[tuple[int, ...]]:
-    """Yield every distinct length-s tuple whose nonzero entries realize exps.
-
-    exps is a multiset of exponents (zeros allowed and ignored); positions not
-    assigned a nonzero value are zero.  Arrangements of equal values are not
-    repeated: positions for each distinct value are chosen by combinations.
-    """
-    nonzero = sorted((e for e in exps if e), reverse=True)
-    if len(nonzero) > s:
-        return
-    items: list[tuple[int, int]] = []
-    for e in nonzero:
-        if items and items[-1][0] == e:
-            items[-1] = (e, items[-1][1] + 1)
-        else:
-            items.append((e, 1))
-    out = [0] * s
-
-    def rec(positions: tuple[int, ...], idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(items):
-            yield tuple(out)
-            return
-        value, count = items[idx]
-        for chosen in combinations(positions, count):
-            chosen_set = set(chosen)
-            for p in chosen:
-                out[p] = value
-            yield from rec(tuple(p for p in positions if p not in chosen_set), idx + 1)
-            for p in chosen:
-                out[p] = 0
-
-    yield from rec(tuple(range(s)), 0)
-
-
 def monomial_sym(lam, s: int) -> MultiPoly:
     """The monomial symmetric polynomial m_lambda in s variables.
 
@@ -114,9 +80,17 @@ def monomial_sym(lam, s: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _monomial_sym(parts: tuple[int, ...], s: int) -> MultiPoly:
-    return MultiPoly._from_trusted(
-        s, {arr: 1 for arr in iter_arrangements(parts, s)}, 1
-    )
+    # A term is a support of len(parts) positions, in increasing order,
+    # filled with one distinct ordering of the parts.
+    orderings = dict.fromkeys(permutations(parts))
+    terms = {}
+    for support in combinations(range(s), len(parts)):
+        for order in orderings:
+            exps = [0] * s
+            for i, e in zip(support, order):
+                exps[i] = e
+            terms[tuple(exps)] = 1
+    return MultiPoly._from_trusted(s, terms, 1)
 
 
 class SymExpansion(FrozenRecord):
@@ -270,10 +244,6 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
 
 # -- identity tables ---------------------------------------------------------
 
-def _m(lam, s):
-    return monomial_sym(lam, s)
-
-
 def verify_tf2_table(s: int) -> list[CheckResult]:
     """Check the thirteen product identities among monomial symmetric polynomials.
 
@@ -282,17 +252,9 @@ def verify_tf2_table(s: int) -> list[CheckResult]:
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    m1 = _m((1,), s)
-    m2 = _m((2,), s)
-    m3 = _m((3,), s)
-    m4 = _m((4,), s)
-    m11 = _m((1, 1), s)
-    m21 = _m((2, 1), s)
-    m111 = _m((1, 1, 1), s)
-    m31 = _m((3, 1), s)
-    m22 = _m((2, 2), s)
-    m211 = _m((2, 1, 1), s)
-    m1111 = _m((1, 1, 1, 1), s)
+    m4, m31, m22, m211, m1111, m3, m21, m111, m2, m11, m1, _ = (
+        monomial_sym(lam, s) for lam in BASIS
+    )
     table = [
         ("1", m1 * m1, m2 + 2 * m11),
         ("2", m1 * m1 * m1, m3 + 3 * m21 + 6 * m111),
@@ -321,49 +283,38 @@ def substitution_identities(s: int) -> list[CheckResult]:
         raise ValueError(f"substitution identities need s >= 5, got {s}")
     t = s - 4
     one4 = MultiPoly.const(4, 1)
-    checks: list[tuple[str, MultiPoly, MultiPoly]] = []
-    for i in range(1, 5):
-        checks.append((f"m{i}", _m((i,), s).substitute_ones(4), _m((i,), 4) + t))
+
+    def m(*parts):  # m_lambda in four variables
+        return monomial_sym(parts, 4)
+
+    rules = [((i,), m(i) + t) for i in range(1, 5)]
     for i in range(1, 5):
         rhs = MultiPoly.zero(4)
         for j in range(i + 1):
-            rhs = rhs + _m((1,) * (i - j), 4).scale(binom_int(t, j))
-        checks.append((f"m{'1' * i}", _m((1,) * i, s).substitute_ones(4), rhs))
-    checks.append(
+            rhs = rhs + m(*(1,) * (i - j)).scale(binom_int(t, j))
+        rules.append(((1,) * i, rhs))
+    rules += [
+        ((3, 1), m(3, 1) + t * m(3) + t * m(1) + t * (t - 1) * one4),
+        ((2, 2), m(2, 2) + t * m(2) + binom_int(t, 2) * one4),
         (
-            "m31",
-            _m((3, 1), s).substitute_ones(4),
-            _m((3, 1), 4) + t * _m((3,), 4) + t * _m((1,), 4) + t * (t - 1) * one4,
-        )
-    )
-    checks.append(
-        (
-            "m22",
-            _m((2, 2), s).substitute_ones(4),
-            _m((2, 2), 4) + t * _m((2,), 4) + binom_int(t, 2) * one4,
-        )
-    )
-    checks.append(
-        (
-            "m211",
-            _m((2, 1, 1), s).substitute_ones(4),
-            _m((2, 1, 1), 4)
-            + t * _m((2, 1), 4)
-            + binom_int(t, 2) * _m((2,), 4)
-            + t * _m((1, 1), 4)
-            + t * (t - 1) * _m((1,), 4)
+            (2, 1, 1),
+            m(2, 1, 1)
+            + t * m(2, 1)
+            + binom_int(t, 2) * m(2)
+            + t * m(1, 1)
+            + t * (t - 1) * m(1)
             + t * binom_int(t - 1, 2) * one4,
-        )
-    )
-    checks.append(
-        (
-            "m21",
-            _m((2, 1), s).substitute_ones(4),
-            _m((2, 1), 4) + t * _m((2,), 4) + t * _m((1,), 4) + t * (t - 1) * one4,
-        )
-    )
+        ),
+        ((2, 1), m(2, 1) + t * m(2) + t * m(1) + t * (t - 1) * one4),
+    ]
     return [
-        compare(f"tf2-bis/{label}", {"s": s}, lhs, rhs) for label, lhs, rhs in checks
+        compare(
+            f"tf2-bis/m{''.join(map(str, lam))}",
+            {"s": s},
+            monomial_sym(lam, s).substitute_ones(4),
+            rhs,
+        )
+        for lam, rhs in rules
     ]
 
 
@@ -382,7 +333,7 @@ def verify_tf2bis(s: int) -> list[CheckResult]:
     rel_witness = agree_witness = None
     for i, lam in enumerate(BASIS):
         unit = tuple(int(i == j) for j in range(12))
-        G = _m(lam, s)
+        G = monomial_sym(lam, s)
         witness = {"partition": list(lam)}
         predicted = restriction_coefficients(unit, s)
         if rel_witness is None and predicted != expand_direct(G.substitute_ones(4)).coeffs:

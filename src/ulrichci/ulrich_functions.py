@@ -520,7 +520,10 @@ _SUFFIX_CAP = 4096
 
 
 class ScanCell(Record):
-    """Aggregate of one (b, s) slice of the positivity scan."""
+    """Aggregate of one (b, s) slice of the positivity scan.
+
+    per_tuple is a list to collect every (tuple, q) in, or None to keep none.
+    """
 
     __slots__ = (
         "b",
@@ -533,24 +536,14 @@ class ScanCell(Record):
         "per_tuple",
     )
 
-    def __init__(
-        self,
-        b: int,
-        s: int,
-        tuples_checked: int = 0,
-        min_q: int | None = None,
-        min_tuple: tuple[int, ...] | None = None,
-        violations: list | None = None,
-        violations_omitted: int = 0,
-        per_tuple: list | None = None,
-    ):
+    def __init__(self, b: int, s: int, per_tuple: list | None = None):
         self.b = b
         self.s = s
-        self.tuples_checked = tuples_checked
-        self.min_q = min_q
-        self.min_tuple = min_tuple
-        self.violations = [] if violations is None else violations
-        self.violations_omitted = violations_omitted
+        self.tuples_checked = 0
+        self.min_q = None
+        self.min_tuple = None
+        self.violations = []
+        self.violations_omitted = 0
         self.per_tuple = per_tuple
 
     @property

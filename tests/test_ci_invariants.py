@@ -35,8 +35,7 @@ from ulrichci.ci_invariants import (
     hypersurface_resolution,
     parity_obstruction,
     proj_h0,
-    rank2_surface_data,
-    rank3_surface_data,
+    surface_data,
 )
 from ulrichci.exact_arith import binom_int
 from ulrichci.ulrich_functions import (
@@ -65,12 +64,18 @@ def test_config_validation():
         CIConfig(4, (2,), 1)
 
 
+def test_config_refuses_non_integers():
+    for args in ((4.0, (3,), 2), (4, (3.0,), 2), (4, (3,), 2.0), (4, ("3",), 2)):
+        with pytest.raises(TypeError):
+            CIConfig(*args)
+
+
 def test_records_are_frozen_values():
-    cfg = CIConfig(4, [3, "2"], 2)
+    cfg = CIConfig(4, [3, 2], 2)
     assert cfg.degrees == (3, 2) and cfg != CIConfig(4, (3, 2), 3)
     equal_pairs = [
         (cfg, CIConfig(n=4, degrees=(3, 2), r=2)),
-        (rank2_surface_data(QUADRIC), rank2_surface_data(CIConfig(4, (2,), 2))),
+        (surface_data(QUADRIC), surface_data(CIConfig(4, (2,), 2))),
         (hypersurface_resolution(3, 6), hypersurface_resolution(3, 6)),
         (hyper3_dimension_check(4, 3), hyper3_dimension_check(4, 3)),
     ]
@@ -339,14 +344,14 @@ def test_e_examples():
 
 
 def test_rank2_surface_data_quadric():
-    data = rank2_surface_data(QUADRIC)
+    data = surface_data(QUADRIC)
     assert data.chi_hilbert == 1
     assert data.chi_noether == build_g4(4).eval((2, 1, 1, 1))
     assert data.mismatch == Fraction(1, 24)
 
 
 def test_rank2_surface_data_type22():
-    data = rank2_surface_data(CIConfig(4, (2, 2), 2))
+    data = surface_data(CIConfig(4, (2, 2), 2))
     q = q_value((2, 2, 1, 1), 8)
     assert q > 0
     assert data.mismatch == Fraction(4 * q, 4320)
@@ -363,7 +368,7 @@ def test_rank2_mismatch_positive_on_grid():
     checked = 0
     for length in range(1, 5):
         for degs in combinations_with_replacement(range(6, 1, -1), length):
-            for r, surface_data in ((2, rank2_surface_data), (3, rank3_surface_data)):
+            for r in (2, 3):
                 cfg = CIConfig(4, degs, r)
                 if parity_obstruction(cfg):
                     continue
@@ -377,30 +382,29 @@ def test_rank2_mismatch_positive_on_grid():
     assert checked == 190
 
 
-def test_rank2_surface_data_requires_n4_r2():
-    with pytest.raises(ValueError):
-        rank2_surface_data(CIConfig(5, (2,), 2))
-    with pytest.raises(ValueError):
-        rank2_surface_data(CIConfig(4, (2,), 3))
+def test_surface_data_requires_n4_and_rank_2_or_3():
+    for cfg in (CIConfig(5, (2,), 2), CIConfig(5, (3,), 3), CIConfig(4, (3,), 4)):
+        with pytest.raises(ValueError, match="n = 4 and r in"):
+            surface_data(cfg)
 
 
 def test_rank3_surface_data():
     cfg = CIConfig(4, (2, 2), 3)
-    data = rank3_surface_data(cfg)
+    data = surface_data(cfg)
     assert data.kz_h == build_h(4).eval((2, 2, 1, 1))
     assert data.mismatch == Fraction(4 * q_value((2, 2, 1, 1), 9), 3840)
     assert data.mismatch > 0
 
 
 def test_rank3_surface_data_padded_cubic():
-    data = rank3_surface_data(CIConfig(4, (3,), 3))
+    data = surface_data(CIConfig(4, (3,), 3))
     assert data.mismatch == Fraction(3 * q_value((3, 1, 1, 1), 9), 3840)
     assert data.mismatch > 0
 
 
 def test_rank3_surface_data_parity():
     with pytest.raises(ParityError):
-        rank3_surface_data(CIConfig(4, (2, 2, 2), 3))
+        surface_data(CIConfig(4, (2, 2, 2), 3))
 
 
 # -- certifier ----------------------------------------------------------------------------------------
@@ -462,6 +466,18 @@ def test_certify_rejects_bad_input():
         certify(4, (2,), 4)
     with pytest.raises(ValueError):
         certify(4, (), 2)
+
+
+def test_certify_refuses_a_float_degree():
+    # int() would truncate 3.7 and certify the degrees (3, 2).
+    with pytest.raises(TypeError):
+        certify(4, (3.7, 2), 2)
+
+
+def test_certify_refuses_a_float_dimension():
+    # A float n would otherwise reach the certificate's input as 4.5.
+    with pytest.raises(TypeError):
+        certify(4.5, (3,), 2)
 
 
 def test_certify_grid_non_existence():

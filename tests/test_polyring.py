@@ -316,7 +316,7 @@ def test_extend_enforces_max_vars():
         x(0).extend(13)
 
 
-# -- serialization ------------------------------------------------------------------------
+# -- text form ----------------------------------------------------------------------------
 
 
 def test_to_string_canonical_order():
@@ -324,26 +324,22 @@ def test_to_string_canonical_order():
     assert p.to_string() == "1 * x1^2*x2^0 + 1 * x1^0*x2^1"
 
 
-def test_round_trip_simple():
+def test_to_string_fraction_coefficient():
     p = Fraction(3, 2) * x(0) * x(1) - 5 * x(1) + 7
-    assert MultiPoly.from_string(p.to_string()) == p
+    assert p.to_string() == "3/2 * x1^1*x2^1 + -5 * x1^0*x2^1 + 7 * x1^0*x2^0"
 
 
-def test_round_trip_zero_preserves_nvars():
-    z = MultiPoly.zero(3)
-    parsed = MultiPoly.from_string(z.to_string())
-    assert parsed == z and parsed.nvars == 3
+def test_to_string_zero_spells_out_every_variable():
+    assert MultiPoly.zero(3).to_string() == "0 * x1^0*x2^0*x3^0"
 
 
-@given(polys)
+@given(polys, polys)
 @settings(max_examples=60)
-def test_round_trip_random(p):
-    assert MultiPoly.from_string(p.to_string()) == p
-
-
-def test_from_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        MultiPoly.from_string("3x + 4")
+def test_to_string_is_canonical_random(p, q):
+    # Equal polynomials print alike, whatever order their terms were given in.
+    reordered = MultiPoly(2, dict(reversed(list(p.terms()))))
+    assert reordered.to_string() == p.to_string()
+    assert (p.to_string() == q.to_string()) == (p == q)
 
 
 @pytest.mark.parametrize(

@@ -73,3 +73,26 @@ def test_no_module_reads_the_environment():
     assert modules
     reads = {path.name: _environment_reads(path) for path in modules}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def _float_uses(path: Path) -> list[str]:
+    """Each float literal or float(...) call in a module, as "line: source"."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            uses.append(f"{node.lineno}: {node.value!r}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            uses.append(f"{node.lineno}: float(...)")
+    return uses
+
+
+def test_no_float_enters_the_source():
+    # Arithmetic stays exact from input to output, so no value may pass through a float.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    uses = {path.name: _float_uses(path) for path in modules}
+    assert {name: lines for name, lines in uses.items() if lines} == {}

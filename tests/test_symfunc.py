@@ -2,7 +2,10 @@
 
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -98,11 +101,32 @@ def test_permutation_invariance():
 
 
 def test_term_count_is_multinomial():
-    # m_{211}(s) has s * C(s-1, 2) monomials
-    from math import comb
+    # m_lambda(s) has s! / ((s - l)! * prod(multiplicity!)) monomials, l = len(lambda).
+    assert monomial_sym((2, 1, 1), 5).num_terms == 5 * comb(4, 2)
+    for lam in BASIS:
+        for s in range(1, 13):
+            count = perm(s, len(lam)) // prod(map(factorial, Counter(lam).values()))
+            assert monomial_sym(lam, s).num_terms == count, (lam, s)
 
-    for s in (3, 5, 7):
-        assert monomial_sym((2, 1, 1), s).num_terms == s * comb(s - 1, 2)
+
+def _partitions(weight, largest=None):
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(weight, largest or weight), 0, -1):
+        for rest in _partitions(weight - first, first):
+            yield (first,) + rest
+
+
+def test_orbit_is_every_distinct_permutation():
+    # Brute force: the distinct rearrangements of lambda padded with zeros.
+    lams = [lam for weight in range(7) for lam in _partitions(weight)]
+    assert len(lams) == 30 and set(BASIS) < set(lams)
+    for lam in lams:
+        for s in range(1, 8):
+            padded = lam + (0,) * (s - len(lam))
+            orbit = set(permutations(padded)) if len(lam) <= s else set()
+            assert monomial_sym(lam, s) == MultiPoly(s, dict.fromkeys(orbit, 1)), (lam, s)
 
 
 # -- direct expansion ---------------------------------------------------------------
