@@ -4,26 +4,30 @@ machine-checkable non-existence certificates."""
 
 __version__ = "0.1.0"
 
-from .exact_arith import binom_int, binom_poly
-from .polyring import DimensionMismatch, MultiPoly, NotDivisible
-from .symfunc import (
-    Partition,
-    SymExpansion,
-    expand_direct,
-    expand_via_restriction,
-    monomial_sym,
-)
+#: Each re-exported name -> its home submodule.  The names are imported on
+#: first access (PEP 562), so importing the package, or running the CLI's
+#: --version, --help or a usage error, loads none of the computation modules.
+_HOMES = {
+    "binom_int": "exact_arith",
+    "binom_poly": "exact_arith",
+    "MultiPoly": "polyring",
+    "DimensionMismatch": "polyring",
+    "NotDivisible": "polyring",
+    "Partition": "symfunc",
+    "SymExpansion": "symfunc",
+    "expand_direct": "symfunc",
+    "expand_via_restriction": "symfunc",
+    "monomial_sym": "symfunc",
+}
 
-__all__ = [
-    "binom_int",
-    "binom_poly",
-    "MultiPoly",
-    "DimensionMismatch",
-    "NotDivisible",
-    "Partition",
-    "SymExpansion",
-    "expand_direct",
-    "expand_via_restriction",
-    "monomial_sym",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        from importlib import import_module
+
+        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,69 +9,31 @@ worker counts affect wall time only, never any reported value or ordering.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import stat
 import sys
 
 from . import __version__
-from .ci_invariants import (
-    EXCLUDED,
-    NON_EXISTENCE,
-    CIConfig,
-    ParityError,
-    _frac_doc,
-    c2X_coeff,
-    c2_E_coeff,
-    canonical_coeff,
-    certify,
-    chi_E,
-    chi_OX,
-    chi_OZ,
-    deg_Z,
-    det_twist,
-    parity_obstruction,
-)
-from .polyring import MAX_VARS
-from .report import FAIL, PASS, CheckResult, all_ok, summarize
-from .symfunc import verify_tf2_table, verify_tf2bis
-from .ulrich_functions import (
-    GL4_CONSTANTS,
-    SCAN_B_VALUES,
-    SUPPORTED_PAIRS,
-    ScanReport,
-    check_scan_grid,
-    verify_cg_induction,
-    verify_cg_scan,
-    verify_gl1,
-    verify_gl2,
-    verify_gl4,
-    verify_tf0,
-    verify_tf1,
-)
 
 SCHEMA_VERSION = 1
 
 #: Most twists one invariants table may hold, so a huge --m fails before any work.
 MAX_TWISTS = 10_000
 
-
-def _over_pairs(verify):
-    return lambda s: [c for r, m in SUPPORTED_PAIRS for c in verify(s, r, m)]
-
-
-#: The suites run once per s: suite -> (checks at one s, smallest valid s,
-#: default s-range).  The default ranges keep the full default run well under
+#: The suites run once per s: suite -> (home module, verifier, smallest valid
+#: s, default s-range).  The verifier is read off its module when the suite
+#: runs, so only verify loads the engine and a binding replaced on the module
+#: is the one called.  The default ranges keep the full default run well under
 #: a minute on commodity hardware; deeper ranges are opt-in.
 _RANGED_SUITES = {
-    "tf0": (_over_pairs(verify_tf0), 1, (1, 6)),
-    "tf1": (_over_pairs(verify_tf1), 1, (1, 6)),
-    "tf2": (verify_tf2_table, 1, (4, 6)),
-    "tf2bis": (verify_tf2bis, 5, (5, 6)),
-    "gl1": (verify_gl1, 4, (4, 6)),
-    "gl2": (verify_gl2, 1, (1, 6)),
-    "gl4": (verify_gl4, 4, (4, 6)),
+    "tf0": ("ulrich_functions", "verify_tf0", 1, (1, 6)),
+    "tf1": ("ulrich_functions", "verify_tf1", 1, (1, 6)),
+    "tf2": ("symfunc", "verify_tf2_table", 1, (4, 6)),
+    "tf2bis": ("symfunc", "verify_tf2bis", 5, (5, 6)),
+    "gl1": ("ulrich_functions", "verify_gl1", 4, (4, 6)),
+    "gl2": ("ulrich_functions", "verify_gl2", 1, (1, 6)),
+    "gl4": ("ulrich_functions", "verify_gl4", 4, (4, 6)),
 }
 
 SUITES = ("all", *_RANGED_SUITES, "cg")
@@ -168,6 +130,8 @@ def _write_output(path: str, payload: str) -> None:
 
 
 def _emit(doc: dict, text: str, args) -> None:
+    import json
+
     payload = json.dumps(doc, indent=2) if args.format == "json" else text
     if not args.output:
         print(payload)
@@ -192,8 +156,11 @@ def _base_doc(command: str, parameters: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_suite(suite: str, args) -> list[CheckResult]:
+def _run_suite(suite: str, args) -> list:
     if suite == "cg":
+        from .ulrich_functions import GL4_CONSTANTS, SCAN_B_VALUES
+        from .ulrich_functions import verify_cg_induction, verify_cg_scan
+
         report = verify_cg_scan(
             args.s_max, args.d_max, SCAN_B_VALUES, workers=args.workers
         )
@@ -202,17 +169,28 @@ def _run_suite(suite: str, args) -> list[CheckResult]:
             for b, _ in GL4_CONSTANTS.values():
                 results.extend(verify_cg_induction(s, b))
         return results
-    checks_at, min_s, default_range = _RANGED_SUITES[suite]
+    home, name, min_s, default_range = _RANGED_SUITES[suite]
     low, high = args.s if args.s else default_range
     if low < min_s:
         # Under --suite all, each suite runs the part of --s it supports.
         if args.suite != "all":
             raise ValueError(f"suite {suite} requires s >= {min_s}")
         low = min_s
-    return [c for s in range(low, high + 1) for c in checks_at(s)]
+    from importlib import import_module
+
+    verify = getattr(import_module(f".{home}", __package__), name)
+    if suite in ("tf0", "tf1"):  # these check each supported (r, m) pair
+        from .ulrich_functions import SUPPORTED_PAIRS
+
+        return [
+            c for s in range(low, high + 1) for r, m in SUPPORTED_PAIRS for c in verify(s, r, m)
+        ]
+    return [c for s in range(low, high + 1) for c in verify(s)]
 
 
-def _scan_checks(report: ScanReport) -> list[CheckResult]:
+def _scan_checks(report) -> list:
+    from .report import FAIL, PASS, CheckResult
+
     checks = []
     for cell in report.cells:
         witness = cell.to_dict()
@@ -231,6 +209,10 @@ def _scan_checks(report: ScanReport) -> list[CheckResult]:
 
 
 def _cmd_verify(args) -> int:
+    from .polyring import MAX_VARS
+    from .report import FAIL, PASS, all_ok, summarize
+    from .ulrich_functions import SCAN_B_VALUES, check_scan_grid
+
     suites = list(SUITES[1:]) if args.suite == "all" else [args.suite]
     # Fail before any work: the ranged suites work in s variables, cg in s-max + 1,
     # and the scan has a bounded grid.
@@ -243,7 +225,7 @@ def _cmd_verify(args) -> int:
         )
     if "cg" in suites:
         check_scan_grid(args.s_max, args.d_max, SCAN_B_VALUES)
-    results: list[CheckResult] = []
+    results = []
     for suite in suites:
         results.extend(_run_suite(suite, args))
     summary = summarize(results)
@@ -279,6 +261,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .ci_invariants import CIConfig, _frac_doc, c2X_coeff, c2_E_coeff, canonical_coeff
+    from .ci_invariants import chi_E, chi_OX, chi_OZ, deg_Z, det_twist, parity_obstruction
+
     cfg = CIConfig(args.n, _parse_int_list(args.degrees), args.r)
     m_low, m_high = args.m if args.m else (0, cfg.n)
     if m_high - m_low >= MAX_TWISTS:
@@ -335,6 +320,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .ci_invariants import EXCLUDED, NON_EXISTENCE, certify
+
     certificate = certify(args.n, _parse_int_list(args.degrees), args.r)
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(certificate.to_dict())
@@ -358,6 +345,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .ulrich_functions import verify_cg_scan
+
     b_values = _parse_int_list(args.b)
     report = verify_cg_scan(
         args.s_max,
@@ -480,7 +469,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except (ValueError, ParityError) as exc:
+    except ValueError as exc:  # ParityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

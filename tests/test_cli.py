@@ -13,12 +13,13 @@ import time
 
 import pytest
 
-from ulrichci import cli, ulrich_functions
+from ulrichci import cli, symfunc, ulrich_functions
 from ulrichci.ci_invariants import CIConfig, chi_OX
 from ulrichci.cli import _scan_checks, main
 from ulrichci.polyring import MultiPoly
 from ulrichci.ulrich_functions import (
     SCAN_B_VALUES,
+    SUPPORTED_PAIRS,
     build_f,
     build_g4,
     check_scan_grid,
@@ -37,24 +38,60 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def _fresh_modules(code: str) -> set[str]:
-    """sys.modules after running code in a fresh interpreter with the package on its path."""
+def _fresh_imports(*args: str) -> tuple[int, set[str]]:
+    """Exit code and every module imported by a fresh ``python -X importtime ARGS``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code += "\nimport sys; print(*sorted(sys.modules))"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-X", "importtime", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return done.returncode, {line.rpartition("|")[2].strip() for line in lines}
+
+
+#: The computation modules, and the standard library's exact arithmetic they use.
+ENGINE = {
+    "fractions",
+    "ulrichci.ci_invariants",
+    "ulrichci.ulrich_functions",
+    "ulrichci.symfunc",
+    "ulrichci.polyring",
+    "ulrichci.exact_arith",
+    "ulrichci.report",
+}
 
 
 def test_cli_import_loads_only_what_commands_need():
-    # The pool, dataclasses and tempfile are loaded where they are used, if at all.
-    loaded = _fresh_modules("import ulrichci.cli") - _fresh_modules("")
+    # The pool, dataclasses and tempfile are loaded where they are used, if at all
+    # (the interpreter's start-up may load some of them, so only the rest counts).
+    _, startup = _fresh_imports("-c", "pass")
+    _, loaded = _fresh_imports("-c", "import ulrichci.cli")
+    loaded -= startup
     assert "ulrichci.cli" in loaded
     lazy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "tempfile"}
     assert loaded & lazy == set()
+    # Neither the package nor the CLI loads the engine before a command runs it.
+    assert loaded & ENGINE == set()
+    assert _fresh_imports("-c", "import ulrichci")[1] & ENGINE == set()
+    for argv, exit_code in (
+        (["--version"], 0),
+        (["--help"], 0),
+        (["verify", "--suite", "nope"], 2),
+    ):
+        code, loaded = _fresh_imports("-m", "ulrichci.cli", *argv)
+        assert code == exit_code, argv
+        assert loaded & ENGINE == set(), argv
+    # A certificate runs the engine, but starts no pool and writes no file.
+    code, loaded = _fresh_imports(
+        "-m", "ulrichci.cli", "certify", "--n", "4", "--degrees", "3,2", "--r", "2"
+    )
+    assert code == 0
+    assert "ulrichci.ci_invariants" in loaded
+    assert (loaded - startup) & {"concurrent.futures", "multiprocessing", "tempfile"} == set()
 
 
 # -- verify ------------------------------------------------------------------
@@ -90,6 +127,27 @@ def test_verify_cg_counts_tuples(capsys):
 def test_verify_range_below_suite_minimum(capsys):
     code = main(["verify", "--suite", "gl1", "--s", "2..3"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "module,name,suite,pairs",
+    [
+        (ulrich_functions, "verify_gl4", "gl4", [()]),
+        (ulrich_functions, "verify_tf0", "tf0", SUPPORTED_PAIRS),
+        (symfunc, "verify_tf2bis", "tf2bis", [()]),
+    ],
+)
+def test_verify_runs_the_verifier_bound_on_its_module(monkeypatch, module, name, suite, pairs):
+    # A verifier replaced on its module (by a test or a tracer) is the one a suite runs.
+    verify, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    assert main(["verify", "--suite", suite, "--s", "5..6"]) == 0
+    assert calls == [(s, *pair) for s in (5, 6) for pair in pairs]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and the names the package re-exports."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import ulrichci
+from ulrichci import exact_arith, polyring, symfunc
 
 PACKAGE = Path(ulrichci.__file__).parent
 
@@ -96,3 +99,69 @@ def test_no_float_enters_the_source():
     assert modules
     uses = {path.name: _float_uses(path) for path in modules}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+#: The modules that compute; the package and its CLI import none of them at load time.
+COMPUTATION = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+
+
+def _load_time_imports(path: Path) -> list[str]:
+    """Each computation module a module imports when it is loaded, as "line: name"."""
+    found = []
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # its body runs only when called
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ulrichci" if node.level else "", node.module]))
+            targets = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {target}"
+            for target in targets
+            if target.startswith("ulrichci.") and target.split(".")[1] in COMPUTATION
+        ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_entry_modules_import_no_computation_module_at_load(name):
+    # --version, --help and usage errors must not pay for the engine.
+    assert COMPUTATION >= {"ci_invariants", "polyring", "symfunc", "ulrich_functions"}
+    assert _load_time_imports(PACKAGE / name) == []
+
+
+#: Each name the package re-exports, by home module.
+REEXPORTS = {
+    exact_arith: ["binom_int", "binom_poly"],
+    polyring: ["MultiPoly", "DimensionMismatch", "NotDivisible"],
+    symfunc: ["Partition", "SymExpansion", "expand_direct", "expand_via_restriction", "monomial_sym"],
+}
+
+
+def test_reexports_are_their_home_objects(monkeypatch):
+    names = [name for names in REEXPORTS.values() for name in names]
+    assert sorted(ulrichci.__all__) == sorted([*names, "__version__"])
+    for module, names in REEXPORTS.items():
+        for name in names:
+            # Drop a binding an earlier access cached, so the lazy lookup runs.
+            monkeypatch.delattr(ulrichci, name, raising=False)
+            assert getattr(ulrichci, name) is getattr(module, name)
+
+
+def test_star_import_binds_every_reexport():
+    namespace = {}
+    exec("from ulrichci import *", namespace)
+    assert {name: namespace[name] for name in ulrichci.__all__} == {
+        name: getattr(ulrichci, name) for name in ulrichci.__all__
+    }
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="module 'ulrichci' has no attribute 'no_such_name'"):
+        ulrichci.no_such_name
