@@ -27,7 +27,5 @@ def __getattr__(name: str):
     if name in _HOMES:
         from importlib import import_module
 
-        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
-        globals()[name] = value
-        return value
+        return getattr(import_module(f".{_HOMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,18 +22,18 @@ SCHEMA_VERSION = 1
 MAX_TWISTS = 10_000
 
 #: The suites run once per s: suite -> (home module, verifier, smallest valid
-#: s, default s-range).  The verifier is read off its module when the suite
-#: runs, so only verify loads the engine and a binding replaced on the module
-#: is the one called.  The default ranges keep the full default run well under
+#: s, default s-range, whether it runs once per supported (r, m) pair).  The
+#: verifier is read off its module when the suite runs, so only verify loads
+#: the engine and a binding replaced on the module is the one called.  The default ranges keep the full default run well under
 #: a minute on commodity hardware; deeper ranges are opt-in.
 _RANGED_SUITES = {
-    "tf0": ("ulrich_functions", "verify_tf0", 1, (1, 6)),
-    "tf1": ("ulrich_functions", "verify_tf1", 1, (1, 6)),
-    "tf2": ("symfunc", "verify_tf2_table", 1, (4, 6)),
-    "tf2bis": ("symfunc", "verify_tf2bis", 5, (5, 6)),
-    "gl1": ("ulrich_functions", "verify_gl1", 4, (4, 6)),
-    "gl2": ("ulrich_functions", "verify_gl2", 1, (1, 6)),
-    "gl4": ("ulrich_functions", "verify_gl4", 4, (4, 6)),
+    "tf0": ("ulrich_functions", "verify_tf0", 1, (1, 6), True),
+    "tf1": ("ulrich_functions", "verify_tf1", 1, (1, 6), True),
+    "tf2": ("symfunc", "verify_tf2_table", 1, (4, 6), False),
+    "tf2bis": ("symfunc", "verify_tf2bis", 5, (5, 6), False),
+    "gl1": ("ulrich_functions", "verify_gl1", 4, (4, 6), False),
+    "gl2": ("ulrich_functions", "verify_gl2", 1, (1, 6), False),
+    "gl4": ("ulrich_functions", "verify_gl4", 4, (4, 6), False),
 }
 
 SUITES = ("all", *_RANGED_SUITES, "cg")
@@ -169,7 +169,7 @@ def _run_suite(suite: str, args) -> list:
             for b, _ in GL4_CONSTANTS.values():
                 results.extend(verify_cg_induction(s, b))
         return results
-    home, name, min_s, default_range = _RANGED_SUITES[suite]
+    home, name, min_s, default_range, pairs = _RANGED_SUITES[suite]
     low, high = args.s if args.s else default_range
     if low < min_s:
         # Under --suite all, each suite runs the part of --s it supports.
@@ -179,7 +179,7 @@ def _run_suite(suite: str, args) -> list:
     from importlib import import_module
 
     verify = getattr(import_module(f".{home}", __package__), name)
-    if suite in ("tf0", "tf1"):  # these check each supported (r, m) pair
+    if pairs:
         from .ulrich_functions import SUPPORTED_PAIRS
 
         return [
