@@ -29,3 +29,7 @@ def __getattr__(name: str):
 
         return getattr(import_module(f".{_HOMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

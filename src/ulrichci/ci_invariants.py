@@ -14,6 +14,15 @@ deg Z and the surface data evaluate ulrich_functions.deg_bracket and
 surface_invariants, the Noether route the ring forms are built from, at
 (s, S, S2); chi_OZ (inclusion-exclusion) and deg_Z_chern stay independent
 routes to check them against.
+
+euler_table builds the whole table of chi(O_X(m)), chi(O_Z(m)) and
+chi(E(m)) over a range of twists from two binomial columns, each built by
+exact ratio steps and differenced by the Koszul operator prod(1 - E^-d_i);
+its cost is linear in the number of twists (plus the degree sum and u) times
+the size of the values, so n in the thousands takes a fraction of a second.
+chi_OX, chi_OZ and chi_E compute one twist each by inclusion-exclusion
+grouped by subset sum, O(s * S) binomials per twist; they are the reference
+the table is tested against, and surface_data reads chi_OZ.
 """
 
 from __future__ import annotations
@@ -209,6 +218,104 @@ def chi_OZ(cfg: CIConfig, m: int) -> int:
                 binom_int(t - m - 1, N) + (r - 1) * binom_int(t + u - m - 1, N)
             )
     return _as_int(total)
+
+
+def _binomials(k: int, low: int, high: int) -> list[int]:
+    """binom(x, k) for x = low..high: one binom_int, then exact ratio steps.
+
+    binom(x, k) = binom(x - 1, k) * x / (x - k); the run of zeros at
+    0 <= x < k ends with binom(k, k) = 1.
+    """
+    value = binom_int(low, k)
+    column = [value]
+    for x in range(low + 1, high + 1):
+        if x == k:
+            value = 1
+        else:
+            value, rest = divmod(value * x, x - k)
+            # An explicit raise, not an assert, so the check also runs under python -O.
+            if rest:
+                raise ArithmeticError(f"binom({x}, {k}) is not an integer ratio step")
+        column.append(value)
+    return column
+
+
+def _koszul(column, degrees, low: int, high: int) -> list[int]:
+    """(D f)(m) for m = low..high, where column(a, b) lists f(a), ..., f(b).
+
+    D = prod(1 - E^-d) over the degrees, E the shift m -> m + 1.  In
+    ascending order, a degree at most the width of the list is one pass
+    v[j] - v[j - d] over a list widened by d.  The larger degrees are summed
+    over their subset sums, one list of the widened width each, so a huge
+    degree costs a second list rather than d entries.
+    """
+    degrees = sorted(degrees)
+    width = high - low + 1
+    small = 0
+    while small < len(degrees) and degrees[small] <= width:
+        width += degrees[small]
+        small += 1
+    start = high - width + 1
+    values = column(start, high)
+    for t, c in _subset_sum_signs(degrees[small:]).items():
+        if t:  # the empty subset (t = 0, c = 1) is the list itself
+            shifted = column(start - t, high - t)
+            values = [v + c * w for v, w in zip(values, shifted)]
+    for d in degrees[:small]:
+        values = [b - a for a, b in zip(values, values[d:])]
+    return values
+
+
+def _span(column, low: int, high: int, shift: int) -> tuple[list, list]:
+    """column over low..high and over low - shift..high - shift.
+
+    One list serves both when the two ranges meet.
+    """
+    width = high - low + 1
+    if shift <= width:
+        values = column(low - shift, high)
+        return values[shift:], values[:width]
+    return column(low, high), column(low - shift, high - shift)
+
+
+def euler_table(cfg: CIConfig, m_low: int, m_high: int) -> list[dict]:
+    """Rows {m, chi_OX, chi_OZ, chi_E} for every twist m = m_low..m_high.
+
+    chi(O_X(m)) is the Koszul operator prod(1 - E^-d_i) applied to the one
+    column binom(m + N, N), N = n + s; chi(E(m)) is r d times the column
+    binom(m + n, n); chi(O_Z(m)) comes from 0 -> O_X^(r-1) -> E -> I_Z(u) -> 0:
+
+        chi(O_Z(m)) = chi(O_X(m)) + (r - 1) chi(O_X(m - u)) - chi(E(m - u)),
+
+    and is None when u is not an integer (parity obstruction).  The columns
+    are built by ratio steps over whole ranges of twists; chi_OX, chi_OZ and
+    chi_E compute one twist each and are the reference the table is tested
+    against.
+    """
+    m_low, m_high = index(m_low), index(m_high)
+    if m_low > m_high:
+        raise ValueError(f"empty twist range {m_low}..{m_high}")
+    n, N, rd = cfg.n, cfg.n + cfg.s, cfg.r * cfg.d
+    obstructed = parity_obstruction(cfg)
+    u = 0 if obstructed else _det_twist_int(cfg)
+
+    def chi_ox(a: int, b: int) -> list[int]:
+        return _koszul(lambda lo, hi: _binomials(N, lo + N, hi + N), cfg.degrees, a, b)
+
+    def binom_n(a: int, b: int) -> list[int]:
+        return _binomials(n, a + n, b + n)
+
+    ox, ox_u = _span(chi_ox, m_low, m_high, u)
+    e, e_u = _span(binom_n, m_low, m_high, u)
+    return [
+        {
+            "m": m,
+            "chi_OX": x,
+            "chi_OZ": None if obstructed else x + (cfg.r - 1) * x_u - rd * y_u,
+            "chi_E": rd * y,
+        }
+        for m, x, x_u, y, y_u in zip(range(m_low, m_high + 1), ox, ox_u, e, e_u)
+    ]
 
 
 def c2_E_coeff(cfg: CIConfig) -> tuple[Fraction, bool]:

@@ -129,10 +129,14 @@ def _write_output(path: str, payload: str) -> None:
         raise
 
 
-def _emit(doc: dict, text: str, args) -> None:
+def _emit(doc: dict, render, args) -> None:
+    """Print DOC as JSON, or the text render() returns; --output writes it instead.
+
+    render is called only for --format text.
+    """
     import json
 
-    payload = json.dumps(doc, indent=2) if args.format == "json" else text
+    payload = json.dumps(doc, indent=2) if args.format == "json" else render()
     if not args.output:
         print(payload)
         return
@@ -243,15 +247,19 @@ def _cmd_verify(args) -> int:
     doc["results"] = [r.to_dict() for r in results]
     doc["summary"] = summary
     doc["status"] = status
-    lines = []
-    for r in results:
-        params = " ".join(f"{k}={v}" for k, v in r.parameters.items())
-        lines.append(f"{r.status.upper():4s} {r.lemma} {params}")
-    lines.append(
-        f"{summary['passed']}/{summary['total']} checks passed"
-        + (f", {summary['failed']} FAILED" if summary["failed"] else "")
-    )
-    _emit(doc, "\n".join(lines), args)
+
+    def render() -> str:
+        lines = []
+        for r in results:
+            params = " ".join(f"{k}={v}" for k, v in r.parameters.items())
+            lines.append(f"{r.status.upper():4s} {r.lemma} {params}")
+        lines.append(
+            f"{summary['passed']}/{summary['total']} checks passed"
+            + (f", {summary['failed']} FAILED" if summary["failed"] else "")
+        )
+        return "\n".join(lines)
+
+    _emit(doc, render, args)
     return 0 if status == PASS else 1
 
 
@@ -262,7 +270,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     from .ci_invariants import CIConfig, _frac_doc, c2X_coeff, c2_E_coeff, canonical_coeff
-    from .ci_invariants import chi_E, chi_OX, chi_OZ, deg_Z, det_twist, parity_obstruction
+    from .ci_invariants import deg_Z, det_twist, euler_table, parity_obstruction
 
     cfg = CIConfig(args.n, _parse_int_list(args.degrees), args.r)
     m_low, m_high = args.m if args.m else (0, cfg.n)
@@ -270,15 +278,7 @@ def _cmd_invariants(args) -> int:
         raise ValueError(f"--m spans {m_high - m_low + 1} twists; at most {MAX_TWISTS}")
     obstructed = parity_obstruction(cfg)
     e, e_integral = c2_E_coeff(cfg)
-    table = []
-    for m in range(m_low, m_high + 1):
-        row = {
-            "m": m,
-            "chi_OX": chi_OX(cfg, m),
-            "chi_OZ": None if obstructed else chi_OZ(cfg, m),
-            "chi_E": chi_E(cfg, m),
-        }
-        table.append(row)
+    table = euler_table(cfg, m_low, m_high)
     invariants = {
         "K_X_coefficient": canonical_coeff(cfg),
         "c2_X_coefficient": c2X_coeff(cfg),
@@ -294,23 +294,27 @@ def _cmd_invariants(args) -> int:
     )
     doc["invariants"] = invariants
     doc["euler_table"] = table
-    lines = [
-        f"complete intersection: n={cfg.n} degrees={cfg.degrees} r={cfg.r}",
-        f"  K_X coefficient      {invariants['K_X_coefficient']}",
-        f"  c2(X) coefficient    {invariants['c2_X_coefficient']}",
-        f"  u = r(S-s)/2         {invariants['u']}"
-        + ("  (parity obstruction: no integral determinant)" if obstructed else ""),
-        f"  deg Z                {invariants['deg_Z']}",
-        f"  e = c2(E) coeff      {invariants['e']}"
-        + ("" if e_integral else "  (non-integral)"),
-        f"  {'m':>4s} {'chi(O_X(m))':>14s} {'chi(O_Z(m))':>14s} {'chi(E(m))':>14s}",
-    ]
-    for row in table:
-        chi_oz = "n/a" if row["chi_OZ"] is None else str(row["chi_OZ"])
-        lines.append(
-            f"  {row['m']:>4d} {row['chi_OX']:>14d} {chi_oz:>14s} {row['chi_E']:>14d}"
-        )
-    _emit(doc, "\n".join(lines), args)
+
+    def render() -> str:
+        lines = [
+            f"complete intersection: n={cfg.n} degrees={cfg.degrees} r={cfg.r}",
+            f"  K_X coefficient      {invariants['K_X_coefficient']}",
+            f"  c2(X) coefficient    {invariants['c2_X_coefficient']}",
+            f"  u = r(S-s)/2         {invariants['u']}"
+            + ("  (parity obstruction: no integral determinant)" if obstructed else ""),
+            f"  deg Z                {invariants['deg_Z']}",
+            f"  e = c2(E) coeff      {invariants['e']}"
+            + ("" if e_integral else "  (non-integral)"),
+            f"  {'m':>4s} {'chi(O_X(m))':>14s} {'chi(O_Z(m))':>14s} {'chi(E(m))':>14s}",
+        ]
+        for row in table:
+            chi_oz = "n/a" if row["chi_OZ"] is None else str(row["chi_OZ"])
+            lines.append(
+                f"  {row['m']:>4d} {row['chi_OX']:>14d} {chi_oz:>14s} {row['chi_E']:>14d}"
+            )
+        return "\n".join(lines)
+
+    _emit(doc, render, args)
     return 0
 
 
@@ -325,15 +329,19 @@ def _cmd_certify(args) -> int:
     certificate = certify(args.n, _parse_int_list(args.degrees), args.r)
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(certificate.to_dict())
-    lines = [
-        f"verdict: {certificate.verdict}",
-        f"reason: {certificate.reason}",
-    ]
-    for key, value in certificate.witnesses.items():
-        lines.append(f"  {key}: {value}")
-    if certificate.hypotheses:
-        lines.append("conditional on: " + "; ".join(certificate.hypotheses))
-    _emit(doc, "\n".join(lines), args)
+
+    def render() -> str:
+        lines = [
+            f"verdict: {certificate.verdict}",
+            f"reason: {certificate.reason}",
+        ]
+        for key, value in certificate.witnesses.items():
+            lines.append(f"  {key}: {value}")
+        if certificate.hypotheses:
+            lines.append("conditional on: " + "; ".join(certificate.hypotheses))
+        return "\n".join(lines)
+
+    _emit(doc, render, args)
     if certificate.verdict in (NON_EXISTENCE, EXCLUDED):
         return 0
     return 1
@@ -365,25 +373,29 @@ def _cmd_scan(args) -> int:
         },
     )
     doc.update(report.to_dict())
-    lines = []
-    for cell in report.cells:
-        lines.append(
-            f"b={cell.b} s={cell.s}: {cell.tuples_checked} tuples, "
-            f"min q = {cell.min_q} at {cell.min_tuple}"
-            + (
-                f", {len(cell.violations) + cell.violations_omitted} VIOLATIONS"
-                if cell.violations
-                else ""
+
+    def render() -> str:
+        lines = []
+        for cell in report.cells:
+            lines.append(
+                f"b={cell.b} s={cell.s}: {cell.tuples_checked} tuples, "
+                f"min q = {cell.min_q} at {cell.min_tuple}"
+                + (
+                    f", {len(cell.violations) + cell.violations_omitted} VIOLATIONS"
+                    if cell.violations
+                    else ""
+                )
             )
+            if cell.per_tuple is not None:
+                for tup, q in cell.per_tuple:
+                    lines.append(f"    q{tuple(tup)} = {q}")
+        lines.append(
+            f"total: {report.total_tuples} tuples (weakly decreasing, product >= 2, "
+            f"all-ones excluded); status: {'ok' if report.ok else 'VIOLATIONS FOUND'}"
         )
-        if cell.per_tuple is not None:
-            for tup, q in cell.per_tuple:
-                lines.append(f"    q{tuple(tup)} = {q}")
-    lines.append(
-        f"total: {report.total_tuples} tuples (weakly decreasing, product >= 2, "
-        f"all-ones excluded); status: {'ok' if report.ok else 'VIOLATIONS FOUND'}"
-    )
-    _emit(doc, "\n".join(lines), args)
+        return "\n".join(lines)
+
+    _emit(doc, render, args)
     return 0 if report.ok else 1
 
 
@@ -392,7 +404,8 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's parser by command name."""
     parser = argparse.ArgumentParser(
         prog="ulrichci",
         description="Exact verification of the symmetric-function identities and "
@@ -455,10 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include per-tuple q values (small scans only)",
     )
     p_scan.set_defaults(func=_cmd_scan)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
@@ -466,8 +479,11 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = _glue_signed_values(sys.argv[1:] if argv is None else list(argv))
+    # A command's own parser reads the rest of the line in one pass; the
+    # top-level parser sees only --version, --help and a missing or unknown command.
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # ParityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from ulrichci.ci_invariants import (
     deg_Z,
     deg_Z_chern,
     det_twist,
+    euler_table,
     hyper3_dimension_check,
     hypersurface_hilb,
     hypersurface_hilbert_function,
@@ -181,8 +182,9 @@ def test_chi_OX_structure_sheaf():
         lambda: chi_OX(QUADRIC, 0),
         lambda: chi_OZ(QUADRIC, 0),
         lambda: hypersurface_hilb(4, 2, 0),
+        lambda: euler_table(QUADRIC, 0, 0),
     ],
-    ids=["chi_OX", "chi_OZ", "hypersurface_hilb"],
+    ids=["chi_OX", "chi_OZ", "hypersurface_hilb", "euler_table-ratio-step"],
 )
 def test_integrality_check_raises(monkeypatch, compute):
     # An explicit raise, so the check survives python -O.
@@ -217,7 +219,7 @@ def test_integrality_check_raises_under_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "4 passed" in proc.stdout
 
 
 def test_chi_E_examples():
@@ -275,6 +277,99 @@ def test_euler_characteristics_match_subset_enumeration():
                         assert chi_OX(cfg, m) == _chi_OX_by_subsets(cfg, m), (cfg, m)
                         if not parity_obstruction(cfg):
                             assert chi_OZ(cfg, m) == _chi_OZ_by_subsets(cfg, m), (cfg, m)
+
+
+def _reference_rows(cfg, m_low, m_high):
+    obstructed = parity_obstruction(cfg)
+    return [
+        {
+            "m": m,
+            "chi_OX": chi_OX(cfg, m),
+            "chi_OZ": None if obstructed else chi_OZ(cfg, m),
+            "chi_E": chi_E(cfg, m),
+        }
+        for m in range(m_low, m_high + 1)
+    ]
+
+
+def _differences(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+def test_euler_table_matches_per_twist_values():
+    # Degree-1 entries and parity-obstructed ranks included.  Every column is
+    # a polynomial in m of degree at most n, and so is its reference, so
+    # agreement at the n + 1 twists 0..n and vanishing (n+1)-th differences
+    # over -30..30 give agreement at every twist of the range.
+    for n in range(2, 9):
+        for s in range(1, 6):
+            for degs in combinations_with_replacement(range(6, 0, -1), s):
+                if degs[0] < 2:
+                    continue
+                for r in (2, 3, 4):
+                    cfg = CIConfig(n, degs, r)
+                    table = euler_table(cfg, -30, 30)
+                    assert [row["m"] for row in table] == list(range(-30, 31))
+                    assert table[30 : 31 + n] == _reference_rows(cfg, 0, n), cfg
+                    for key in ("chi_OX", "chi_OZ", "chi_E"):
+                        column = [row[key] for row in table]
+                        if column[0] is not None:
+                            assert not any(_differences(column, n + 1)), (cfg, key)
+
+
+def test_euler_table_matches_per_twist_values_at_every_twist():
+    for n in (2, 5, 8):
+        for degs in [(2,), (6,), (3, 1), (2, 2, 1), (5, 4, 3), (6, 6, 1, 1), (4, 3, 3, 2, 2)]:
+            for r in (2, 3, 4):
+                cfg = CIConfig(n, degs, r)
+                table = euler_table(cfg, -30, 30)
+                assert table == _reference_rows(cfg, -30, 30), cfg
+                for m in (-30, -n - 1, -1, 0, 1, n, 30):
+                    assert euler_table(cfg, m, m) == table[m + 30 : m + 31], (cfg, m)
+
+
+def test_euler_table_matches_subset_enumeration():
+    for n in (2, 3, 6):
+        for degs in [(2,), (3, 1), (2, 2, 1), (4, 3, 2), (6, 5, 1, 1), (3, 3, 2, 2, 1)]:
+            for r in (2, 3, 4):
+                cfg = CIConfig(n, degs, r)
+                for row in euler_table(cfg, -12, 12):
+                    m = row["m"]
+                    assert row["chi_OX"] == _chi_OX_by_subsets(cfg, m), (cfg, m)
+                    if row["chi_OZ"] is not None:
+                        assert row["chi_OZ"] == _chi_OZ_by_subsets(cfg, m), (cfg, m)
+
+
+def test_euler_table_at_large_dimension():
+    cfg = CIConfig(1000, (3, 4), 2)
+    table = euler_table(cfg, 0, 1000)
+    for m in (0, 1, 500, 1000):
+        assert table[m] == _reference_rows(cfg, m, m)[0], m
+
+
+def test_euler_table_huge_degree_builds_no_long_column(monkeypatch):
+    # A degree wider than the table is summed as a shifted list, not d entries.
+    import ulrichci.ci_invariants as ci
+
+    binomials = ci._binomials
+    lengths = []
+
+    def short_binomials(k, low, high):
+        lengths.append(high - low + 1)
+        assert high - low < 100, "a column as long as a degree"
+        return binomials(k, low, high)
+
+    monkeypatch.setattr(ci, "_binomials", short_binomials)
+    cfg = CIConfig(4, (10**12, 10**12 + 1, 3), 2)
+    assert euler_table(cfg, -2, 6) == _reference_rows(cfg, -2, 6)
+    assert lengths
+
+
+def test_euler_table_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty twist range"):
+        euler_table(QUADRIC, 1, 0)
 
 
 def test_euler_characteristics_polynomial_in_s(monkeypatch):

@@ -583,6 +583,95 @@ def test_usage_error_unknown_suite():
     assert err.value.code == 2
 
 
+_COMMAND_LINES = {
+    "verify": ["verify", "--suite", "tf2", "--s", "4"],
+    "invariants": ["invariants", "--n", "4", "--degrees", "3,2", "--r", "2"],
+    "certify": _CERTIFY,
+    "scan": ["scan", "--s-max", "2", "--d-max", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+def test_unrecognized_argument_is_reported_by_its_command(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([*_COMMAND_LINES[command], "--bogus", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, _, message = captured.err.partition(f"ulrichci {command}: error: ")
+    assert usage.startswith(f"usage: ulrichci {command} [-h]")
+    assert message == "unrecognized arguments: --bogus 1\n"
+
+
+_TOP_USAGE = "usage: ulrichci [-h] [--version] {verify,invariants,certify,scan} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--version"], 0, cli.__version__ + "\n", ""),
+        (["--help"], 0, _TOP_USAGE, ""),
+        (["verify", "-h"], 0, "usage: ulrichci verify [-h]", ""),
+        (["scan", "--help"], 0, "usage: ulrichci scan [-h]", ""),
+        (
+            ["nope"],
+            2,
+            "",
+            _TOP_USAGE + "ulrichci: error: argument command: invalid choice: 'nope' "
+            "(choose from 'verify', 'invariants', 'certify', 'scan')\n",
+        ),
+        (
+            [],
+            2,
+            "",
+            _TOP_USAGE + "ulrichci: error: the following arguments are required: command\n",
+        ),
+    ],
+    ids=["version", "help", "command-h", "command-help", "unknown-command", "no-command"],
+)
+def test_top_level_options_and_errors(capsys, argv, code, out, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out) and bool(captured.out) == bool(out)
+    assert captured.err == err
+
+
+def test_command_line_is_parsed_once_by_its_command(monkeypatch, capsys):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording_parse(self, *args, **kwargs):
+        parsed.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording_parse)
+    for command, argv in _COMMAND_LINES.items():
+        assert main(argv) == 0
+        assert parsed == [cli._COMMANDS[command]], command
+        parsed.clear()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert parsed == [cli._PARSER]
+
+
+def test_text_is_rendered_only_for_text_output(monkeypatch, capsys):
+    rendered = []
+    emit = cli._emit
+
+    def counting_emit(doc, render, args):
+        emit(doc, lambda: rendered.append(1) or render(), args)
+
+    monkeypatch.setattr(cli, "_emit", counting_emit)
+    for command, argv in _COMMAND_LINES.items():
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+        assert rendered == [], command
+        assert run(capsys, *argv)[0] == 0
+        assert rendered == [1], command
+        rendered.clear()
+
+
 def test_invalid_invariants_input_exits_2(capsys):
     assert main(["invariants", "--n", "4", "--degrees", "1", "--r", "2"]) == 2
 
@@ -696,6 +785,23 @@ QUERY_DIGESTS = {
 }
 
 
+#: invariants requests beyond the default twists: --m -12..12 over QUERY_GRID
+#: and a large dimension, pinned the same way.
+INVARIANTS_DIGESTS = {
+    "grid-m-12..12": (
+        [
+            ["--n", n, "--degrees", degrees, "--r", r, "--m", "-12..12"]
+            for n, degrees, r in QUERY_GRID
+        ],
+        "6ab2876c6ffb915cd631d236c6ca9f94d2be5663984463dffe21b326a5a3f351",
+    ),
+    "n300": (
+        [["--n", "300", "--degrees", "3,4", "--r", "2"]],
+        "3057508444860935ef1600f7596a83ce188697024425a7f16964ff67b9fdc437",
+    ),
+}
+
+
 @pytest.mark.parametrize("command", sorted(QUERY_DIGESTS))
 def test_query_report_digest(capsys, command):
     digest = hashlib.sha256()
@@ -704,6 +810,16 @@ def test_query_report_digest(capsys, command):
         _, out = run(capsys, command, *argv)
         digest.update(out.encode())
     assert digest.hexdigest() == QUERY_DIGESTS[command]
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANTS_DIGESTS))
+def test_invariants_report_digest(capsys, name):
+    requests, expected = INVARIANTS_DIGESTS[name]
+    digest = hashlib.sha256()
+    for argv in requests:
+        _, out = run(capsys, "invariants", *argv, "--format", "json")
+        digest.update(out.encode())
+    assert digest.hexdigest() == expected
 
 
 def test_verify_all_default_budget(capsys):

@@ -167,3 +167,9 @@ def test_star_import_binds_every_reexport():
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="module 'ulrichci' has no attribute 'no_such_name'"):
         ulrichci.no_such_name
+
+
+def test_dir_lists_every_lazy_reexport():
+    listed = dir(ulrichci)
+    assert set(ulrichci.__all__) <= set(listed)
+    assert listed == sorted(set(listed))
