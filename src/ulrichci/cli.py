@@ -40,19 +40,27 @@ SUITES = ("all", *_RANGED_SUITES, "cg")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Parse "4..8" or "5" into an inclusive (low, high) pair."""
-    if ".." in text:
-        low_s, _, high_s = text.partition("..")
-        low, high = int(low_s), int(high_s)
-    else:
-        low = high = int(text)
+    """argparse type: "4..8" or "5" as an inclusive (low, high) pair."""
+    low_s, dots, high_s = text.partition("..")
+    try:
+        low, high = int(low_s), int(high_s if dots else low_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'expected an integer or a range "low..high", got {text!r}'
+        ) from None
     if low > high:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return low, high
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    """argparse type: comma separated integers, empty parts skipped."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated integers, got {text!r}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
@@ -272,7 +280,7 @@ def _cmd_invariants(args) -> int:
     from .ci_invariants import CIConfig, _frac_doc, c2X_coeff, c2_E_coeff, canonical_coeff
     from .ci_invariants import deg_Z, det_twist, euler_table, parity_obstruction
 
-    cfg = CIConfig(args.n, _parse_int_list(args.degrees), args.r)
+    cfg = CIConfig(args.n, args.degrees, args.r)
     m_low, m_high = args.m if args.m else (0, cfg.n)
     if m_high - m_low >= MAX_TWISTS:
         raise ValueError(f"--m spans {m_high - m_low + 1} twists; at most {MAX_TWISTS}")
@@ -326,7 +334,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_certify(args) -> int:
     from .ci_invariants import EXCLUDED, NON_EXISTENCE, certify
 
-    certificate = certify(args.n, _parse_int_list(args.degrees), args.r)
+    certificate = certify(args.n, args.degrees, args.r)
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(certificate.to_dict())
 
@@ -355,11 +363,10 @@ def _cmd_certify(args) -> int:
 def _cmd_scan(args) -> int:
     from .ulrich_functions import verify_cg_scan
 
-    b_values = _parse_int_list(args.b)
     report = verify_cg_scan(
         args.s_max,
         args.d_max,
-        b_values=b_values,
+        b_values=args.b,
         workers=args.workers,
         per_tuple=args.list_tuples,
     )
@@ -368,7 +375,7 @@ def _cmd_scan(args) -> int:
         {
             "s_max": args.s_max,
             "d_max": args.d_max,
-            "b": list(b_values),
+            "b": list(args.b),
             "workers": args.workers,
         },
     )
@@ -422,7 +429,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--output", help="write output to this path instead of stdout")
     query = argparse.ArgumentParser(add_help=False)
     query.add_argument("--n", type=int, required=True)
-    query.add_argument("--degrees", required=True, help='comma separated, e.g. "2,3"')
+    query.add_argument(
+        "--degrees", type=_parse_int_list, required=True, help='comma separated, e.g. "2,3"'
+    )
     query.add_argument("--r", type=int, required=True)
 
     p_verify = sub.add_parser(
@@ -460,7 +469,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p_scan.add_argument("--s-max", type=int, required=True)
     p_scan.add_argument("--d-max", type=int, required=True)
-    p_scan.add_argument("--b", default="8,9", help='comma separated, e.g. "8,9"')
+    p_scan.add_argument(
+        "--b", type=_parse_int_list, default="8,9", help='comma separated, e.g. "8,9"'
+    )
     p_scan.add_argument("--workers", type=_positive_int, default=1)
     p_scan.add_argument(
         "--list-tuples",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, islice
+from itertools import accumulate, combinations_with_replacement, islice, pairwise
 from math import comb, prod
 
 from .exact_arith import binom_poly
@@ -647,6 +647,16 @@ def _suffix_table(s: int, lead: int) -> tuple[int, list[int], list[int], list[in
     return j, counts, xs, ys
 
 
+def _row_bound(q0: int, floor: int, lin: int, j: int, v: int) -> int:
+    """An exact lower bound on q over one row of _scan_slice.
+
+    At each tuple of the row q = q0 + c_b + lin x, where c_b is at least
+    floor over the row's suffixes and x = sum d^2 over j entries in 1..v
+    lies in [j, j v^2], so lin x is at least lin j or lin j v^2.
+    """
+    return q0 + floor + lin * (j if lin >= 0 else j * v * v)
+
+
 def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
     """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead, once per b.
 
@@ -658,17 +668,33 @@ def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
     of d^2 and d^4 over the entries before start, so each step to the next
     prefix costs O(1) whatever s is.  A row (one prefix, with power sums
     P2, P4 and last entry v) meets the table tail of the suffixes with
-    entries at most v, and for each b every tuple of the row is evaluated
-    as q = Q_b + c_b + 10 (P2 - s) x with Q_b = _q_from_power_sums(s, b, P2, P4),
-    which is q at the whole tuple.  Entries are written out only for a
-    tuple that is kept.  A task holds at most _SUFFIX_CAP (2 + len(b_values))
-    table values, or lead (2 + len(b_values)) where lead exceeds the cap.
-    Returns one partial per entry of b_values, in order.
+    entries at most v, where q = Q_b + c_b + 10 (P2 - s) x at each tuple,
+    with Q_b = _q_from_power_sums(s, b, P2, P4).  Without kept values, a
+    row whose exact lower bound (_row_bound, from the least c_b over that
+    tail) exceeds max(q at (lead, 1, ..., 1), 0) holds no violation and no
+    tuple at the task's minimum, and is counted without evaluating it.
+    Every other row is evaluated tuple by tuple in one list pass, in walk
+    order, so the first minimum tuple is the one a full fold finds.
+    Entries are written out only for a tuple that is kept.  A task holds at
+    most _SUFFIX_CAP (2 + len(b_values)) table values, or
+    lead (2 + len(b_values)) where lead exceeds the cap.  Returns one
+    partial per entry of b_values, in order.
     """
     b_values, s, lead, keep_values = task
     j, counts, xs, ys = _suffix_table(s, lead)
     tables = [[(b - 5) * y + 5 * x * x for x, y in zip(xs, ys)] for b in b_values]
     del ys
+    n = len(xs)
+    # Per b: floors[v - 1] is the least c_b over the suffixes with entries at
+    # most v, and the ceiling max(q at (lead, 1, ..., 1), 0) is at least the
+    # task's minimum.
+    bounds = [
+        (
+            list(accumulate((min(c_b[n - high : n - low]) for low, high in pairwise(counts)), min)),
+            max(_q_from_power_sums(s, b, lead * lead + s - 1, lead**4 + s - 1), 0),
+        )
+        for b, c_b in zip(b_values, tables)
+    ]
     p = s - j
     runs = [(lead, 0, 0, 0)]
     count = 0
@@ -679,12 +705,13 @@ def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
         m2 += (p - k) * v * v
         m4 += (p - k) * v**4
         lin = 10 * (m2 - s)
-        start = len(xs) - counts[v]
-        row = xs[start:]
+        start = n - counts[v]
         prefix = None
-        for b, c_b, fold in zip(b_values, tables, folds):
+        for b, c_b, (floors, ceiling), fold in zip(b_values, tables, bounds, folds):
             q0 = _q_from_power_sums(s, b, m2, m4)
-            qs = [q0 + c + lin * x for c, x in zip(c_b[start:], row)]
+            if not keep_values and _row_bound(q0, floors[v - 1], lin, j, v) > ceiling:
+                continue
+            qs = [q0 + c + lin * x for c, x in zip(c_b[start:], xs[start:])]
             low = min(qs)
             if fold[0] is None or low < fold[0]:
                 fold[0] = low
@@ -771,7 +798,10 @@ def verify_cg_scan(
     every b at once (_scan_slice); it walks the prefixes of its tuples in
     order as runs of equal entries with running power sums, and takes each
     row of tuples sharing a prefix from a table of their suffixes, so each q
-    costs O(1) whatever s is.
+    costs O(1) whatever s is.  Every tuple is covered exactly, either by its
+    value of q or by its row's exact lower bound, which clears a row that
+    can hold neither a violation nor the slice's minimum; a grid where every
+    tuple violates still evaluates every row.
     With several workers all tasks go through one process pool of at most
     os.cpu_count() processes.
     Results are folded in task order, so the report is identical for any

@@ -444,6 +444,12 @@ SCAN_DIGESTS = {
         ["--s-max", "4", "--d-max", "5", "--b=-3,5,5", "--list-tuples"],
         "c0fcb8a341d081ee27c5078d1159a36341384ce1a0dc8f3065f9e85549959d34",
     ),
+    # Minima tied across rows, a table value (b - 5) y + 5 x^2 that is not
+    # monotone along a row (b = 3) and rows with a negative slope in x.
+    "ties": (
+        ["--s-max", "11", "--d-max", "4", "--b=-23,-10,-4,3,8"],
+        "684ab6faf16570434f5c69a6621328f675230789e5fd07f78b903e97a2628c1d",
+    ),
 }
 
 
@@ -601,6 +607,26 @@ def test_unrecognized_argument_is_reported_by_its_command(capsys, command):
     usage, _, message = captured.err.partition(f"ulrichci {command}: error: ")
     assert usage.startswith(f"usage: ulrichci {command} [-h]")
     assert message == "unrecognized arguments: --bogus 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("verify", "--s", "9..5", "empty range '9..5'"),
+        ("invariants", "--m", "abc", "expected an integer or a range \"low..high\", got 'abc'"),
+        ("certify", "--degrees", "3,x", "expected comma separated integers, got '3,x'"),
+        ("scan", "--b", "8,x", "expected comma separated integers, got '8,x'"),
+    ],
+)
+def test_invalid_value_is_reported_by_its_option(capsys, command, option, value, message):
+    with pytest.raises(SystemExit) as err:
+        main([*_COMMAND_LINES[command], option, value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, _, error = captured.err.partition(f"ulrichci {command}: error: ")
+    assert usage.startswith(f"usage: ulrichci {command} [-h]")
+    assert error == f"argument {option}: {message}\n"
 
 
 _TOP_USAGE = "usage: ulrichci [-h] [--version] {verify,invariants,certify,scan} ...\n"

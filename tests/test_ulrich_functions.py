@@ -15,7 +15,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, groupby, islice
 from math import comb, prod
 
 import pytest
@@ -554,7 +554,9 @@ def _q_value_fold(b, s, lead, keep_values):
 
 
 def test_scan_slice_matches_q_value_fold(monkeypatch):
-    b_values = (-1000, -3, 0, 5, 8, 9)
+    # At b = 3 and 4 the table value c_b = (b - 5) y + 5 x^2 is not monotone
+    # along a row.
+    b_values = (-1000, -3, 0, 3, 4, 5, 8, 9)
     cases = [
         (b, s, lead, keep_values)
         for s in range(2, 8)
@@ -608,6 +610,75 @@ def test_scan_slice_matches_q_value_fold(monkeypatch):
         expected = [fold(b, s, lead, keep_values) for b in many]
         assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, cap)
     assert fold(-1000, 7, 10, False)[4] == 5005 - 1000
+
+
+def _record_row_bounds(monkeypatch) -> list:
+    """Install a recording _row_bound; each call appends (bound, lin, j, v), in walk order."""
+    calls = []
+    row_bound = ulrich_functions._row_bound
+
+    def recording(q0, floor, lin, j, v):
+        bound = row_bound(q0, floor, lin, j, v)
+        calls.append((bound, lin, j, v))
+        return bound
+
+    monkeypatch.setattr(ulrich_functions, "_row_bound", recording)
+    return calls
+
+
+def test_row_bound_is_below_every_row_minimum(monkeypatch):
+    # A row is the run of a task's tuples that share their first s - j
+    # entries; _scan_slice bounds each row once per b, in walk order.  The
+    # bound is at most the row's least q, and the ceiling max(q at the
+    # task's last tuple (lead, 1, ..., 1), 0) at least the task's minimum.
+    # Small caps give every suffix length j; a long suffix after a prefix
+    # of small entries has a negative slope lin = 10 (P2 - s).  Where its
+    # entries may exceed 1 (v >= 2, first at s = 9), x is not fixed and the
+    # bound must take x at its largest, j v^2.
+    calls = _record_row_bounds(monkeypatch)
+    negative_slopes = set()
+    for cap in (1, 6, 100, _SUFFIX_CAP):
+        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
+        for s in range(2, 11):
+            for lead in range(2, 8):
+                j = _suffix_table(s, lead)[0]
+                tuples = [tup for tup in _iter_degree_tuples(s, lead) if tup[0] == lead]
+                assert tuples[-1] == (lead,) + (1,) * (s - 1)
+                rows = [len(list(row)) for _, row in groupby(tuples, key=lambda t: t[: s - j])]
+                for b in (-1000, -23, -4, 0, 3, 4, 5, 8, 9):
+                    qs = [q_value(tup, b) for tup in tuples]
+                    calls.clear()
+                    ((_, min_q, *_),) = _scan_slice(((b,), s, lead, False))
+                    assert min_q == min(qs)
+                    assert max(qs[-1], 0) >= min_q
+                    assert len(calls) == len(rows), (cap, s, lead, b)
+                    start = 0
+                    for (bound, lin, j_row, v), size in zip(calls, rows):
+                        assert (j_row, v) == (j, tuples[start][s - j - 1])
+                        assert bound <= min(qs[start : start + size]), (cap, s, lead, b)
+                        if lin < 0:
+                            negative_slopes.add(min(v, 2))
+                        start += size
+    assert negative_slopes == {1, 2}
+
+
+def test_row_bound_clears_most_rows_of_the_largest_benchmark_task(monkeypatch):
+    # The s = 12, lead = 10 task of the benchmark grid walks 5,005 rows of
+    # up to 2,002 tuples.  A row is evaluated only where its bound does not
+    # exceed max(q(10, 1, ..., 1), 0): at b = 8 and 9 that is one row per b,
+    # the last, which holds the minimum.
+    calls = _record_row_bounds(monkeypatch)
+    _scan_slice(((8, 9), 12, 10, False))
+    for i, b in enumerate((8, 9)):
+        bounds = calls[i::2]
+        ceiling = max(q_value((10,) + (1,) * 11, b), 0)
+        evaluated = sum(bound <= ceiling for bound, *_ in bounds)
+        assert len(bounds) == 5005
+        assert 0 < evaluated <= len(bounds) // 100, (b, evaluated)
+    # Kept values list every tuple's q, so no row is bounded.
+    calls.clear()
+    _scan_slice(((8, 9), 5, 4, True))
+    assert calls == []
 
 
 def test_suffix_table_levels(monkeypatch):
