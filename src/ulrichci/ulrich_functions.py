@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, islice, pairwise
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 from .exact_arith import binom_poly
@@ -514,10 +514,6 @@ def q_value(degrees: tuple[int, ...], b: int) -> int:
 #: Longest violation or per-tuple list a scan cell keeps.
 _LIST_CAP = 1000
 
-#: Most entries of a scan task's suffix table (_suffix_table), unless its
-#: suffixes are single entries, which take one entry per degree up to lead.
-_SUFFIX_CAP = 4096
-
 
 class ScanCell(Record):
     """Aggregate of one (b, s) slice of the positivity scan.
@@ -609,146 +605,69 @@ def _iter_degree_tuples(s: int, d_max: int):
             yield (lead, *rest)
 
 
-def _runs_to_tuple(runs: list, n: int) -> tuple[int, ...]:
-    """The first n entries of a tuple held as runs (value, start, ...) of equal entries."""
-    ends = [run[1] for run in runs[1:]] + [n]
-    return tuple(run[0] for run, end in zip(runs, ends) for _ in range(run[1], end))
+def _prefix_bound(s: int, b: int, m2: int, m4: int, r: int, v: int) -> int:
+    """An exact lower bound on q over the completions of a prefix by r entries in 1..v.
 
-
-def _suffixes(v: int, j: int):
-    """The weakly decreasing j-tuples with entries at most v, in scan order."""
-    return combinations_with_replacement(range(v, 0, -1), j)
-
-
-def _suffix_table(s: int, lead: int) -> tuple[int, list[int], list[int], list[int]]:
-    """The suffix table (j, counts, xs, ys) of a scan task with s entries and first entry lead.
-
-    j is the longest suffix length j <= s - 2 with C(lead + j - 1, j) at
-    most _SUFFIX_CAP, and 1 at the least: at j = s - 1 a task is one row,
-    and a table that serves one row costs more to build than it saves.
-    xs and ys hold x = sum d^2 and y = sum d^4 of every weakly decreasing
-    j-tuple with entries at most lead, in scan order.  The j-tuples with
-    entries at most v are the last counts[v] = C(v + j - 1, j) of the
-    table, and a (j + 1)-tuple is an entry u followed by one of the last
-    counts[u], so each level is built from the one before and each count
-    is a running sum of the counts before.
+    m2 and m4 are the prefix's power sums.  In power sums
+    q = (b - 5)(sum d^4 - s) + 5 (sum d^2 - s)^2, where sum d^2 - s >= 0, so the
+    least q has every open entry at 1, except that for b < 5 the first term
+    is least with every open entry at v.  At r = 0 or v = 1 the bound is q.
     """
-    squares = [d * d for d in range(lead, 0, -1)]
-    fourths = [t * t for t in squares]
-    j, counts, xs, ys = 1, list(range(lead + 1)), squares, fourths
-    while j < s - 2:
-        wider = list(accumulate(counts))
-        if wider[lead] > _SUFFIX_CAP:
-            break
-        tails = [len(xs) - count for count in counts[:0:-1]]
-        xs = [t + x for t, i in zip(squares, tails) for x in xs[i:]]
-        ys = [t + y for t, i in zip(fourths, tails) for y in ys[i:]]
-        j, counts = j + 1, wider
-    return j, counts, xs, ys
+    return _q_from_power_sums(s, b, m2 + r, m4 + r * (v**4 if b < 5 else 1))
 
 
-def _row_bound(q0: int, floor: int, lin: int, j: int, v: int) -> int:
-    """An exact lower bound on q over one row of _scan_slice.
+def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
+    """Fold q_{s,b} over the weakly decreasing s-tuples (s >= 2) with first entry lead.
 
-    At each tuple of the row q = q0 + c_b + lin x, where c_b is at least
-    floor over the row's suffixes and x = sum d^2 over j entries in 1..v
-    lies in [j, j v^2], so lin x is at least lin j or lin j v^2.
+    The tuples are the leaves of a tree of prefixes, walked depth first in
+    _iter_degree_tuples order with an explicit stack of [entry, m2, m4], where
+    m2 and m4 sum d^2 and d^4 over the entries before it, so no s is too deep.
+    The next prefix drops the trailing 1s, then lowers the last entry by one.
+    A prefix with r open entries, each at most its last entry v, has one exact
+    lower bound (_prefix_bound), which is the q of its one tuple where r = 0 or
+    v = 1.  Without kept values, a prefix whose bound exceeds
+    max(q(lead, 1, ..., 1), 0) holds no violation and no tuple at the minimum,
+    so its C(v + r - 1, r) tuples are counted and its subtree is skipped.  The
+    rest is folded in walk order, so the first minimum is a full fold's.
+    Returns (tuples, min q, min tuple, first violations, violations omitted,
+    every (tuple, q) or None).
     """
-    return q0 + floor + lin * (j if lin >= 0 else j * v * v)
-
-
-def _scan_slice(task) -> list[tuple[int, int, tuple, list, int, list | None]]:
-    """Fold q over the weakly decreasing s-tuples (s >= 2) with first entry lead, once per b.
-
-    The tuples come in _iter_degree_tuples order.  A tuple is a prefix of
-    its first s - j entries and a suffix of its last j, with j and the
-    power sums x, y of every suffix from _suffix_table; each b tables
-    c_b = (b - 5) y + 5 x^2 once.  The prefixes are walked as runs
-    (value, start, m2, m4) of equal entries, where m2 and m4 are the sums
-    of d^2 and d^4 over the entries before start, so each step to the next
-    prefix costs O(1) whatever s is.  A row (one prefix, with power sums
-    P2, P4 and last entry v) meets the table tail of the suffixes with
-    entries at most v, where q = Q_b + c_b + 10 (P2 - s) x at each tuple,
-    with Q_b = _q_from_power_sums(s, b, P2, P4).  Without kept values, a
-    row whose exact lower bound (_row_bound, from the least c_b over that
-    tail) exceeds max(q at (lead, 1, ..., 1), 0) holds no violation and no
-    tuple at the task's minimum, and is counted without evaluating it.
-    Every other row is evaluated tuple by tuple in one list pass, in walk
-    order, so the first minimum tuple is the one a full fold finds.
-    Entries are written out only for a tuple that is kept.  A task holds at
-    most _SUFFIX_CAP (2 + len(b_values)) table values, or
-    lead (2 + len(b_values)) where lead exceeds the cap.  Returns one
-    partial per entry of b_values, in order.
-    """
-    b_values, s, lead, keep_values = task
-    j, counts, xs, ys = _suffix_table(s, lead)
-    tables = [[(b - 5) * y + 5 * x * x for x, y in zip(xs, ys)] for b in b_values]
-    del ys
-    n = len(xs)
-    # Per b: floors[v - 1] is the least c_b over the suffixes with entries at
-    # most v, and the ceiling max(q at (lead, 1, ..., 1), 0) is at least the
-    # task's minimum.
-    bounds = [
-        (
-            list(accumulate((min(c_b[n - high : n - low]) for low, high in pairwise(counts)), min)),
-            max(_q_from_power_sums(s, b, lead * lead + s - 1, lead**4 + s - 1), 0),
-        )
-        for b, c_b in zip(b_values, tables)
-    ]
-    p = s - j
-    runs = [(lead, 0, 0, 0)]
-    count = 0
-    # Per b: [min q, (runs, v, index in row) where it is, violations, omitted, kept values].
-    folds = [[None, None, [], 0, [] if keep_values else None] for _ in b_values]
+    b, s, lead, keep_values = task
+    ceiling = max(_prefix_bound(s, b, lead * lead, lead**4, s - 1, 1), 0)
+    # min_q starts above ceiling: the slice's last tuple (lead, 1, ..., 1)
+    # has q <= ceiling, so it or an earlier tuple sets the minimum.
+    count, min_q, min_tuple, violations, omitted = 0, ceiling + 1, None, [], 0
+    values = [] if keep_values else None
+    stack = [[lead, 0, 0]]
     while True:
-        v, k, m2, m4 = runs[-1]
-        m2 += (p - k) * v * v
-        m4 += (p - k) * v**4
-        lin = 10 * (m2 - s)
-        start = n - counts[v]
-        prefix = None
-        for b, c_b, (floors, ceiling), fold in zip(b_values, tables, bounds, folds):
-            q0 = _q_from_power_sums(s, b, m2, m4)
-            if not keep_values and _row_bound(q0, floors[v - 1], lin, j, v) > ceiling:
-                continue
-            qs = [q0 + c + lin * x for c, x in zip(c_b[start:], xs[start:])]
-            low = min(qs)
-            if fold[0] is None or low < fold[0]:
-                fold[0] = low
-                fold[1] = (runs[:], v, qs.index(low))
-            if low <= 0:
-                prefix = prefix or _runs_to_tuple(runs, p)
-                bad = [i for i, q in enumerate(qs) if q <= 0]
-                listed = bad[: _LIST_CAP - len(fold[2])]
-                fold[3] += len(bad) - len(listed)
+        v, m2, m4 = stack[-1]
+        m2 += v * v
+        m4 += v**4
+        r = s - len(stack)
+        q = _prefix_bound(s, b, m2, m4, r, v)
+        if r == 0 or v == 1:
+            count += 1
+            listed = q <= 0 and len(violations) < _LIST_CAP
+            if listed or q < min_q or keep_values:
+                tup = (*(entry for entry, _, _ in stack), *(1,) * r)
+                if q < min_q:
+                    min_q, min_tuple = q, tup
                 if listed:
-                    suffixes = list(islice(_suffixes(v, j), listed[-1] + 1))
-                    fold[2].extend(((*prefix, *suffixes[i]), qs[i]) for i in listed)
-            if keep_values:
-                prefix = prefix or _runs_to_tuple(runs, p)
-                fold[4].extend(((*prefix, *suffix), q) for suffix, q in zip(_suffixes(v, j), qs))
-        count += counts[v]
-        # Advance: the rightmost prefix entry after the lead that is still
-        # above 1 drops by one, and every entry after it takes its new value.
-        if v == 1:
-            runs.pop()
-            i = k - 1
+                    violations.append((tup, q))
+                if keep_values:
+                    values.append((tup, q))
+            if q <= 0 and not listed:
+                omitted += 1
+        elif keep_values or q <= ceiling:
+            stack.append([v, m2, m4])
+            continue
         else:
-            i = p - 1
-        if i == 0:
-            break
-        w, k, m2, m4 = runs[-1]
-        if k == i:
-            runs.pop()
-        else:
-            m2 += (i - k) * w * w
-            m4 += (i - k) * w**4
-        runs.append((w - 1, i, m2, m4))
-    results = []
-    for min_q, (runs, v, i), violations, omitted, values in folds:
-        min_tuple = (*_runs_to_tuple(runs, p), *next(islice(_suffixes(v, j), i, None)))
-        results.append((count, min_q, min_tuple, violations, omitted, values))
-    return results
+            count += comb(v + r - 1, r)
+        while stack[-1][0] == 1:
+            stack.pop()
+        if len(stack) == 1:
+            return count, min_q, min_tuple, violations, omitted, values
+        stack[-1][0] -= 1
 
 
 #: Most q evaluations one scan may make, over all its b values, so that a
@@ -794,14 +713,14 @@ def verify_cg_scan(
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
     at least 2, for s = 2..s_max, and requires q > 0 at every point.  A grid
     of more than MAX_SCAN_TUPLES q evaluations over all b is refused before
-    any work.  One task is the slice of one s with one leading entry, for
-    every b at once (_scan_slice); it walks the prefixes of its tuples in
-    order as runs of equal entries with running power sums, and takes each
-    row of tuples sharing a prefix from a table of their suffixes, so each q
-    costs O(1) whatever s is.  Every tuple is covered exactly, either by its
-    value of q or by its row's exact lower bound, which clears a row that
-    can hold neither a violation nor the slice's minimum; a grid where every
-    tuple violates still evaluates every row.
+    any work.  One task is the slice of one b, one s and one leading entry
+    (_scan_slice); it walks the prefixes of its tuples in order with running
+    power sums, so each step costs O(1) whatever s is.  Every tuple is
+    covered exactly, either by its value of q or by one exact lower bound on
+    a prefix, which clears the prefix's subtree when it can hold neither a
+    violation nor the slice's minimum.  For b >= 5 that bound is the q of
+    the prefix's all-ones completion; a grid where every tuple violates
+    still visits every prefix.
     With several workers all tasks go through one process pool of at most
     os.cpu_count() processes.
     Results are folded in task order, so the report is identical for any
@@ -818,7 +737,9 @@ def verify_cg_scan(
         for b in b_values
         for s in s_range
     ]
-    tasks = [(b_values, s, lead, keep[s]) for s in s_range for lead in range(d_max, 1, -1)]
+    tasks = [
+        (b, s, lead, keep[s]) for b in b_values for s in s_range for lead in range(d_max, 1, -1)
+    ]
     if workers > 1:
         # A fork-started pool forks all its workers at once: never more than the CPUs.
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
@@ -826,19 +747,18 @@ def verify_cg_scan(
             partials = list(pool.map(_scan_slice, tasks))
     else:
         partials = list(map(_scan_slice, tasks))
-    # Every s has d_max - 1 consecutive tasks, none of them empty, and the
-    # cell of the j-th b at s is cells[j * (s_max - 1) + s - 2].
-    for i, per_b in enumerate(partials):
-        for j, (count, min_q, min_tuple, violations, omitted, values) in enumerate(per_b):
-            cell = cells[j * (s_max - 1) + i // (d_max - 1)]
-            cell.tuples_checked += count
-            if cell.min_q is None or min_q < cell.min_q:
-                cell.min_q, cell.min_tuple = min_q, min_tuple
-            room = _LIST_CAP - len(cell.violations)
-            cell.violations.extend(violations[:room])
-            cell.violations_omitted += omitted + max(len(violations) - room, 0)
-            if values is not None:
-                cell.per_tuple.extend(values)
+    # Every (b, s) has d_max - 1 consecutive tasks, none of them empty, in
+    # the order of the cells.
+    for i, (count, min_q, min_tuple, violations, omitted, values) in enumerate(partials):
+        cell = cells[i // (d_max - 1)]
+        cell.tuples_checked += count
+        if cell.min_q is None or min_q < cell.min_q:
+            cell.min_q, cell.min_tuple = min_q, min_tuple
+        room = _LIST_CAP - len(cell.violations)
+        cell.violations.extend(violations[:room])
+        cell.violations_omitted += omitted + max(len(violations) - room, 0)
+        if values is not None:
+            cell.per_tuple.extend(values)
     return ScanReport(s_max=s_max, d_max=d_max, b_values=b_values, cells=cells)
 
 

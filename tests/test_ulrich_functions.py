@@ -39,10 +39,9 @@ from ulrichci.ulrich_functions import (
     ScanCell,
     ScanReport,
     _iter_degree_tuples,
+    _prefix_bound,
     _q_from_power_sums,
-    _SUFFIX_CAP,
     _scan_slice,
-    _suffix_table,
     build_a,
     build_c,
     build_chi_prime,
@@ -295,6 +294,14 @@ def test_gl4_holds_for_every_s(r, noether):
     lhs = uf._noether_forms()[noether] - uf._f_form(r, 0)
     assert lhs == uf._q_from_power_sums(uf._S, b, uf._P2, uf._P4) / denominator
     assert GL4_CONSTANTS == {2: (8, 4320), 3: (9, 3840)}
+
+
+def test_q_is_a_sum_of_two_terms_in_power_sums():
+    # q = (b - 5)(p4 - s) + 5 (p2 - s)^2, which _prefix_bound rests on.
+    uf = ulrich_functions
+    for b in (-1000, 0, 3, 5, 8, 9):
+        expected = (b - 5) * (uf._P4 - uf._S) + 5 * (uf._P2 - uf._S) * (uf._P2 - uf._S)
+        assert uf._q_from_power_sums(uf._S, b, uf._P2, uf._P4) == expected, b
 
 
 def _power_product(i, j, k, s):
@@ -553,10 +560,11 @@ def _q_value_fold(b, s, lead, keep_values):
     )
 
 
-def test_scan_slice_matches_q_value_fold(monkeypatch):
-    # At b = 3 and 4 the table value c_b = (b - 5) y + 5 x^2 is not monotone
-    # along a row.
-    b_values = (-1000, -3, 0, 3, 4, 5, 8, 9)
+def test_scan_slice_matches_q_value_fold():
+    # At b < 5 the bound takes the open entries at v, not at 1.  b = -4, -10
+    # and -23 reach their minimum q at more than one tuple (b = -4 at
+    # (2, 2, 1) and (2, 1, 1)), where the first one is the minimum tuple.
+    b_values = (-1000, -23, -10, -4, -3, 0, 3, 4, 5, 8, 9)
     cases = [
         (b, s, lead, keep_values)
         for s in range(2, 8)
@@ -564,154 +572,85 @@ def test_scan_slice_matches_q_value_fold(monkeypatch):
         for b in b_values
         for keep_values in (False, True)
     ]
-    # A slice with more violations than a cell lists, slices whose tuples
-    # hold long runs of equal entries, and s far beyond the recursion limit
-    # (the walk must be iterative).
-    cases += [(-1000, 6, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
-    cases += [(8, 1100, 2, False)]
-    # Long rows: s = 2 and 3 with leads whose tables hold one entry per d.
+    # Slices with more violations than a cell lists (5005 at s = 7, lead
+    # 10), slices whose tuples hold long runs of equal entries, and s far
+    # beyond the recursion limit: at b = 8 the walk clears (2, 2) at depth
+    # 1, and at b = -1000 it walks every prefix down to depth 1100.
+    cases += [(-1000, 6, 10, False), (-1000, 7, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
+    cases += [(8, 1100, 2, False), (-1000, 1100, 2, False)]
+    # Wide trees: s = 2 and 3 under a lead of 70 or 100, whose root has as many children.
     cases += [(9, 2, 100, True), (-1000, 3, 70, False), (8, 3, 100, False)]
-    folds = {}
-
-    def fold(b, s, lead, keep_values):
-        if (b, s, lead, keep_values) not in folds:
-            folds[b, s, lead, keep_values] = _q_value_fold(b, s, lead, keep_values)
-        return folds[b, s, lead, keep_values]
-
     for case in cases:
-        b, s, lead, keep_values = case
-        assert _scan_slice(((b,), s, lead, keep_values)) == [fold(*case)], case
-    # One walk serves every b of a task, in order, a repeated b included
-    # (s = 40 and 1100 test long runs and an iterative walk, whatever the b).
-    many = (*b_values, 8)
-    for s, lead, keep_values in {case[1:] for case in cases if case[1] < 40}:
-        expected = [fold(b, s, lead, keep_values) for b in many]
-        assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, keep_values)
-    # Small table caps: every suffix length j from 1 to s - 2, each with a
-    # table exactly at the cap and one entry past it, which takes j - 1, or
-    # at j = 1 a lead above the cap, which still takes j = 1; s = 2 takes
-    # j = 1 = s - 1, a single row.  Then 5005 violations at every j (s = 7,
-    # lead 10), past the 1000 a cell lists.  b = -4, -10 and -23 reach their
-    # minimum q in more than one row (b = -4 at (2, 2, 1) and (2, 1, 1)),
-    # where the first one is the minimum tuple.
-    many += (-4, -10, -23)
-    capped = [
-        (s, lead, comb(lead + j - 1, j) - past, max(j - past, 1), keep_values)
-        for s in (2, 3, 5, 7)
-        for lead in (2, 3, 5)
-        for j in range(1, max(s - 1, 2))
-        for past in (0, 1)
-        for keep_values in (False, True)
-    ]
-    capped += [(7, 10, comb(10 + j - 1, j), j, False) for j in range(1, 6)]
-    for s, lead, cap, j, keep_values in capped:
-        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
-        assert _suffix_table(s, lead)[0] == j, (s, lead, cap)
-        expected = [fold(b, s, lead, keep_values) for b in many]
-        assert _scan_slice((many, s, lead, keep_values)) == expected, (s, lead, cap)
-    assert fold(-1000, 7, 10, False)[4] == 5005 - 1000
+        assert _scan_slice(case) == _q_value_fold(*case), case
+    assert _scan_slice((-1000, 7, 10, False))[4] == 5005 - 1000
 
 
-def _record_row_bounds(monkeypatch) -> list:
-    """Install a recording _row_bound; each call appends (bound, lin, j, v), in walk order."""
+def test_prefix_bound_is_below_every_completion():
+    # Every prefix of every task's tuples, with r open entries each at most
+    # its last entry v: the bound is at most every completion's q, equal to
+    # it where the prefix is one tuple, and the completions number
+    # C(v + r - 1, r), which a cleared subtree adds to the count.
+    for s in range(2, 9):
+        for lead in range(2, 7):
+            tuples = [tup for tup in _iter_degree_tuples(s, lead) if tup[0] == lead]
+            for b in (-1000, -23, -4, 0, 3, 4, 5, 8, 9):
+                qs = {tup: q_value(tup, b) for tup in tuples}
+                for k in range(1, s + 1):
+                    for prefix, group in groupby(tuples, key=lambda t: t[:k]):
+                        group = [qs[tup] for tup in group]
+                        r, v = s - k, prefix[-1]
+                        m2, m4 = sum(d * d for d in prefix), sum(d**4 for d in prefix)
+                        bound = _prefix_bound(s, b, m2, m4, r, v)
+                        assert len(group) == comb(v + r - 1, r), (s, prefix)
+                        assert bound <= min(group), (b, s, prefix)
+                        assert len(group) > 1 or bound == group[0], (b, s, prefix)
+
+
+def _record_prefix_bounds(monkeypatch) -> list:
+    """Install a recording _prefix_bound; each call appends (r, v), in walk order."""
     calls = []
-    row_bound = ulrich_functions._row_bound
+    prefix_bound = ulrich_functions._prefix_bound
 
-    def recording(q0, floor, lin, j, v):
-        bound = row_bound(q0, floor, lin, j, v)
-        calls.append((bound, lin, j, v))
-        return bound
+    def recording(s, b, m2, m4, r, v):
+        calls.append((r, v))
+        return prefix_bound(s, b, m2, m4, r, v)
 
-    monkeypatch.setattr(ulrich_functions, "_row_bound", recording)
+    monkeypatch.setattr(ulrich_functions, "_prefix_bound", recording)
     return calls
 
 
-def test_row_bound_is_below_every_row_minimum(monkeypatch):
-    # A row is the run of a task's tuples that share their first s - j
-    # entries; _scan_slice bounds each row once per b, in walk order.  The
-    # bound is at most the row's least q, and the ceiling max(q at the
-    # task's last tuple (lead, 1, ..., 1), 0) at least the task's minimum.
-    # Small caps give every suffix length j; a long suffix after a prefix
-    # of small entries has a negative slope lin = 10 (P2 - s).  Where its
-    # entries may exceed 1 (v >= 2, first at s = 9), x is not fixed and the
-    # bound must take x at its largest, j v^2.
-    calls = _record_row_bounds(monkeypatch)
-    negative_slopes = set()
-    for cap in (1, 6, 100, _SUFFIX_CAP):
-        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
-        for s in range(2, 11):
-            for lead in range(2, 8):
-                j = _suffix_table(s, lead)[0]
-                tuples = [tup for tup in _iter_degree_tuples(s, lead) if tup[0] == lead]
-                assert tuples[-1] == (lead,) + (1,) * (s - 1)
-                rows = [len(list(row)) for _, row in groupby(tuples, key=lambda t: t[: s - j])]
-                for b in (-1000, -23, -4, 0, 3, 4, 5, 8, 9):
-                    qs = [q_value(tup, b) for tup in tuples]
-                    calls.clear()
-                    ((_, min_q, *_),) = _scan_slice(((b,), s, lead, False))
-                    assert min_q == min(qs)
-                    assert max(qs[-1], 0) >= min_q
-                    assert len(calls) == len(rows), (cap, s, lead, b)
-                    start = 0
-                    for (bound, lin, j_row, v), size in zip(calls, rows):
-                        assert (j_row, v) == (j, tuples[start][s - j - 1])
-                        assert bound <= min(qs[start : start + size]), (cap, s, lead, b)
-                        if lin < 0:
-                            negative_slopes.add(min(v, 2))
-                        start += size
-    assert negative_slopes == {1, 2}
-
-
-def test_row_bound_clears_most_rows_of_the_largest_benchmark_task(monkeypatch):
-    # The s = 12, lead = 10 task of the benchmark grid walks 5,005 rows of
-    # up to 2,002 tuples.  A row is evaluated only where its bound does not
-    # exceed max(q(10, 1, ..., 1), 0): at b = 8 and 9 that is one row per b,
-    # the last, which holds the minimum.
-    calls = _record_row_bounds(monkeypatch)
-    _scan_slice(((8, 9), 12, 10, False))
-    for i, b in enumerate((8, 9)):
-        bounds = calls[i::2]
-        ceiling = max(q_value((10,) + (1,) * 11, b), 0)
-        evaluated = sum(bound <= ceiling for bound, *_ in bounds)
-        assert len(bounds) == 5005
-        assert 0 < evaluated <= len(bounds) // 100, (b, evaluated)
-    # Kept values list every tuple's q, so no row is bounded.
-    calls.clear()
-    _scan_slice(((8, 9), 5, 4, True))
-    assert calls == []
-
-
-def test_suffix_table_levels(monkeypatch):
-    # x and y of every j-suffix with entries <= lead, in scan order, and the
-    # count of those with entries <= v, which are the last ones of the table.
-    for cap in (1, 6, 100, _SUFFIX_CAP):
-        monkeypatch.setattr(ulrich_functions, "_SUFFIX_CAP", cap)
-        for s in (2, 3, 6):
-            for lead in (2, 3, 7):
-                j, counts, xs, ys = _suffix_table(s, lead)
-                suffixes = list(combinations_with_replacement(range(lead, 0, -1), j))
-                assert j == 1 or len(suffixes) <= cap, (cap, s, lead)
-                assert j >= s - 2 or comb(lead + j, j + 1) > cap, (cap, s, lead)
-                assert j <= max(s - 2, 1), (cap, s, lead)
-                assert xs == [sum(d * d for d in suffix) for suffix in suffixes]
-                assert ys == [sum(d**4 for d in suffix) for suffix in suffixes]
-                assert counts == [comb(v + j - 1, j) for v in range(lead + 1)]
-                for v in range(1, lead + 1):
-                    tail = suffixes[len(suffixes) - counts[v] :]
-                    assert all(suffix[0] <= v for suffix in tail)
-                    assert len(tail) == sum(suffix[0] <= v for suffix in suffixes)
+def test_prefix_bound_clears_the_largest_benchmark_task(monkeypatch):
+    # The s = 12, lead = 10 task of the benchmark grid holds 167,960 tuples.
+    # At b = 8 and 9 the bound is the q of the all-ones completion, so the
+    # walk takes the ceiling, the root and the ten prefixes (10, v): every
+    # one but (10, 1) is cleared, and (10, 1, ..., 1) is the minimum.
+    calls = _record_prefix_bounds(monkeypatch)
+    for b in (8, 9):
+        calls.clear()
+        count, min_q, min_tuple, violations, *_ = _scan_slice((b, 12, 10, False))
+        assert len(calls) <= 10 + 2, (b, calls)
+        assert count == comb(10 + 10, 11) and violations == []
+        assert min_tuple == (10,) + (1,) * 11 and min_q == q_value(min_tuple, b)
+    # Kept values list every tuple's q, so no subtree is cleared: after the
+    # ceiling, each tuple is one prefix whose bound is its q.
+    for b in (8, 9):
+        calls.clear()
+        count, *_, values = _scan_slice((b, 5, 4, True))
+        leaves = sum(r == 0 or v == 1 for r, v in calls[1:])
+        assert leaves == count == len(values) == comb(7, 4), b
 
 
 def test_scan_task_memory_is_linear_in_lead():
-    # A task holds O(lead) values and a suffix table of at most _SUFFIX_CAP
-    # entries per list, whatever s is.  A table of every row tail would hold
-    # lead^2 / 2 pairs: 2,000,000 at s = 2 here, and 20,000 at s = 3.  The
-    # s = 12, lead = 10 task is the largest of the benchmark grid.
+    # A task holds a stack of at most s prefix entries and no table.  A table
+    # of every row tail would hold lead^2 / 2 pairs: 2,000,000 at s = 2 here,
+    # and 20,000 at s = 3.  The s = 12, lead = 10 tasks are the largest of
+    # the benchmark grid.
     tracemalloc.start()
     try:
-        _scan_slice(((8,), 2, 2000, False))
-        _scan_slice(((8,), 3, 200, False))
-        _scan_slice(((8, 9), 12, 10, False))
+        _scan_slice((8, 2, 2000, False))
+        _scan_slice((8, 3, 200, False))
+        _scan_slice((8, 12, 10, False))
+        _scan_slice((9, 12, 10, False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -813,7 +752,7 @@ def test_cg_induction_proves_positivity_from_b_3(s):
 
 def test_all_ones_step_value():
     # r_b(2) with all-ones data: b*16 - 40 - b + 10 = 90 at b = 8.
-    assert 8 * 2**4 - 10 * 2**2 - 8 + 10 == 90
+    assert q_value((2, 1), 8) - q_value((1,), 8) == 90
 
 
 def test_rank3_positive_witness():
