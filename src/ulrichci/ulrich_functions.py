@@ -616,7 +616,7 @@ def _prefix_bound(s: int, b: int, m2: int, m4: int, r: int, v: int) -> int:
     return _q_from_power_sums(s, b, m2 + r, m4 + r * (v**4 if b < 5 else 1))
 
 
-def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
+def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None, int]:
     """Fold q_{s,b} over the weakly decreasing s-tuples (s >= 2) with first entry lead.
 
     The tuples are the leaves of a tree of prefixes, walked depth first in
@@ -630,7 +630,8 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
     so its C(v + r - 1, r) tuples are counted and its subtree is skipped.  The
     rest is folded in walk order, so the first minimum is a full fold's.
     Returns (tuples, min q, min tuple, first violations, violations omitted,
-    every (tuple, q) or None).
+    every (tuple, q) or None, steps), where steps counts the bound values the
+    walk took, the ceiling aside: the slice's work, whatever the machine.
     """
     b, s, lead, keep_values = task
     ceiling = max(_prefix_bound(s, b, lead * lead, lead**4, s - 1, 1), 0)
@@ -639,7 +640,9 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
     count, min_q, min_tuple, violations, omitted = 0, ceiling + 1, None, [], 0
     values = [] if keep_values else None
     stack = [[lead, 0, 0]]
+    steps = 0
     while True:
+        steps += 1
         v, m2, m4 = stack[-1]
         m2 += v * v
         m4 += v**4
@@ -666,7 +669,7 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None]:
         while stack[-1][0] == 1:
             stack.pop()
         if len(stack) == 1:
-            return count, min_q, min_tuple, violations, omitted, values
+            return count, min_q, min_tuple, violations, omitted, values, steps
         stack[-1][0] -= 1
 
 
@@ -701,6 +704,22 @@ def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...]) -> int:
     return size - d_max - s_max
 
 
+#: Bound values a scan's walks take in this process before the rest of its
+#: tasks may go to a pool.  A cold `scan --s-max 12 --d-max 10 --b 8,9` took
+#: 60-90 ms longer at --workers 2 than at 1 (importing concurrent.futures,
+#: forking, feeding the tasks and joining), and a walk takes 1.0-1.6 us per
+#: bound value (`--s-max 8 --d-max 12 --b -1000`, 2 vCPUs, Python 3.11.7):
+#: about 50,000 values cost what the pool does.
+_SERIAL_STEPS = 50_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_cg_scan(
     s_max: int,
     d_max: int,
@@ -721,8 +740,11 @@ def verify_cg_scan(
     violation nor the slice's minimum.  For b >= 5 that bound is the q of
     the prefix's all-ones completion; a grid where every tuple violates
     still visits every prefix.
-    With several workers all tasks go through one process pool of at most
-    os.cpu_count() processes.
+    The tasks run in this process, in task order, until their walks have
+    taken _SERIAL_STEPS bound values, about the work a pool's start costs.
+    With several workers only the tasks after that go to one process pool,
+    of at most as many processes as this process may run on CPUs; a grid
+    that finishes within the budget starts no pool and imports none.
     Results are folded in task order, so the report is identical for any
     worker count.  A cell keeps its first 1000 violations in scan order and
     counts the rest in violations_omitted; per-tuple values are kept only for
@@ -740,16 +762,23 @@ def verify_cg_scan(
     tasks = [
         (b, s, lead, keep[s]) for b in b_values for s in s_range for lead in range(d_max, 1, -1)
     ]
-    if workers > 1:
+    # The step count depends on the grid alone, so which tasks run here does
+    # not depend on the clock or the machine.
+    partials, steps = [], 0
+    for task in tasks:
+        if workers > 1 and steps >= _SERIAL_STEPS:
+            break
+        partials.append(_scan_slice(task))
+        steps += partials[-1][6]
+    rest = tasks[len(partials):]
+    if rest:
         # A fork-started pool forks all its workers at once: never more than the CPUs.
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            partials = list(pool.map(_scan_slice, tasks))
-    else:
-        partials = list(map(_scan_slice, tasks))
+        with pool_class(max_workers=min(workers, _usable_cpus())) as pool:
+            partials += pool.map(_scan_slice, rest)
     # Every (b, s) has d_max - 1 consecutive tasks, none of them empty, in
     # the order of the cells.
-    for i, (count, min_q, min_tuple, violations, omitted, values) in enumerate(partials):
+    for i, (count, min_q, min_tuple, violations, omitted, values, _) in enumerate(partials):
         cell = cells[i // (d_max - 1)]
         cell.tuples_checked += count
         if cell.min_q is None or min_q < cell.min_q:

@@ -100,6 +100,19 @@ def test_cli_import_loads_only_what_commands_need():
     assert (loaded - startup) & {"concurrent.futures", "multiprocessing", "tempfile"} == set()
 
 
+def test_benchmark_scan_starts_no_pool():
+    # The benchmark grid's walks take 1,386 bound values, far within the
+    # scan's serial budget, so at two workers the scan still imports no pool.
+    code, startup = _fresh_imports("-c", "pass")
+    assert code == 0
+    code, loaded = _fresh_imports(
+        "-m", "ulrichci.cli", "scan", "--s-max", "12", "--d-max", "10", "--b", "8,9", "--workers", "2"
+    )
+    assert code == 0
+    assert "ulrichci.ulrich_functions" in loaded
+    assert (loaded - startup) & {"concurrent.futures", "multiprocessing"} == set()
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -500,6 +500,8 @@ def test_scan_uses_one_pool(monkeypatch):
             return super().__enter__()
 
     monkeypatch.setattr(ulrich_functions, "ProcessPoolExecutor", CountingPool)
+    # This grid is far within the serial budget; at 0 every task goes to the pool.
+    monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", 0)
     report = verify_cg_scan(4, 5, workers=2)
     assert len(report.cells) == 6
     assert len(entered) == 1
@@ -507,9 +509,8 @@ def test_scan_uses_one_pool(monkeypatch):
     assert len(entered) == 1
 
 
-@pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
-def test_scan_pool_capped_at_cpu_count(monkeypatch, cpus, size):
-    # A stub pool that maps serially: the test starts no process.
+def _serial_pool(monkeypatch) -> list:
+    """Install a stub pool that maps serially, so no process starts; returns its sizes."""
     sizes = []
 
     class SerialPool:
@@ -525,12 +526,58 @@ def test_scan_pool_capped_at_cpu_count(monkeypatch, cpus, size):
         map = staticmethod(map)
 
     monkeypatch.setattr(ulrich_functions, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(ulrich_functions.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
+def test_scan_pool_capped_at_cpu_count(monkeypatch, cpus, size):
+    # cpus is the size of the process's CPU mask, which os.cpu_count() may
+    # overstate; None stands for a platform without os.sched_getaffinity
+    # whose os.cpu_count() is unknown.
+    sizes = _serial_pool(monkeypatch)
+    if cpus is None:
+        monkeypatch.delattr(ulrich_functions.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ulrich_functions.os, "cpu_count", lambda: None)
+    else:
+        mask = set(range(cpus))
+        monkeypatch.setattr(
+            ulrich_functions.os, "sched_getaffinity", lambda pid: mask, raising=False
+        )
+        monkeypatch.setattr(ulrich_functions.os, "cpu_count", lambda: 64)
+    # This grid is far within the serial budget; at 0 every task goes to the pool.
+    monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", 0)
     report = verify_cg_scan(4, 5, workers=100_000)
     assert sizes == [size]
     assert report.to_dict() == verify_cg_scan(4, 5, workers=1).to_dict()
     verify_cg_scan(4, 5, workers=2)
     assert sizes == [size, min(2, size)]
+
+
+def test_scan_budget_changes_no_report(monkeypatch):
+    # The tasks before the budget runs out run in this process and the rest
+    # in the pool: at 0 every task is pooled, at 1 all but the first, and at
+    # 200 the grids below (3,749, 10,989 and 338 bound values) are split.
+    # The grids are the scan digest "ties" grid of the CLI tests, one whose
+    # cells omit violations, and one that lists every tuple.
+    grids = [
+        {"s_max": 11, "d_max": 4, "b_values": (-23, -10, -4, 3, 8)},
+        {"s_max": 6, "d_max": 10, "b_values": (-1000,)},
+        {"s_max": 4, "d_max": 5, "b_values": (0, 9), "per_tuple": True},
+    ]
+    serial = [verify_cg_scan(**grid, workers=1).to_dict() for grid in grids]
+    default = ulrich_functions._SERIAL_STEPS
+    monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", 200)
+    assert verify_cg_scan(**grids[1], workers=2).to_dict() == serial[1]  # a real pool
+    sizes = _serial_pool(monkeypatch)
+    for budget in (0, 1, 200, default):
+        monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", budget)
+        sizes.clear()
+        for grid, expected in zip(grids, serial):
+            for workers in (2, 3):
+                report = verify_cg_scan(**grid, workers=workers)
+                assert report.to_dict() == expected, (budget, grid, workers)
+        # Each of the six scans starts one pool, unless it fits the budget.
+        assert len(sizes) == (0 if budget == default else 6), budget
 
 
 def test_iter_degree_tuples_order():
@@ -560,7 +607,7 @@ def _q_value_fold(b, s, lead, keep_values):
     )
 
 
-def test_scan_slice_matches_q_value_fold():
+def test_scan_slice_matches_q_value_fold(monkeypatch):
     # At b < 5 the bound takes the open entries at v, not at 1.  b = -4, -10
     # and -23 reach their minimum q at more than one tuple (b = -4 at
     # (2, 2, 1) and (2, 1, 1)), where the first one is the minimum tuple.
@@ -580,8 +627,13 @@ def test_scan_slice_matches_q_value_fold():
     cases += [(8, 1100, 2, False), (-1000, 1100, 2, False)]
     # Wide trees: s = 2 and 3 under a lead of 70 or 100, whose root has as many children.
     cases += [(9, 2, 100, True), (-1000, 3, 70, False), (8, 3, 100, False)]
+    # The seventh field counts the walk's bound values, all but the ceiling.
+    calls = _record_prefix_bounds(monkeypatch)
     for case in cases:
-        assert _scan_slice(case) == _q_value_fold(*case), case
+        calls.clear()
+        *fields, steps = _scan_slice(case)
+        assert tuple(fields) == _q_value_fold(*case), case
+        assert steps == len(calls) - 1, case
     assert _scan_slice((-1000, 7, 10, False))[4] == 5005 - 1000
 
 
@@ -627,17 +679,19 @@ def test_prefix_bound_clears_the_largest_benchmark_task(monkeypatch):
     calls = _record_prefix_bounds(monkeypatch)
     for b in (8, 9):
         calls.clear()
-        count, min_q, min_tuple, violations, *_ = _scan_slice((b, 12, 10, False))
+        count, min_q, min_tuple, violations, *_, steps = _scan_slice((b, 12, 10, False))
         assert len(calls) <= 10 + 2, (b, calls)
+        assert steps == len(calls) - 1, b
         assert count == comb(10 + 10, 11) and violations == []
         assert min_tuple == (10,) + (1,) * 11 and min_q == q_value(min_tuple, b)
     # Kept values list every tuple's q, so no subtree is cleared: after the
     # ceiling, each tuple is one prefix whose bound is its q.
     for b in (8, 9):
         calls.clear()
-        count, *_, values = _scan_slice((b, 5, 4, True))
+        count, *_, values, steps = _scan_slice((b, 5, 4, True))
         leaves = sum(r == 0 or v == 1 for r, v in calls[1:])
         assert leaves == count == len(values) == comb(7, 4), b
+        assert steps == len(calls) - 1, b
 
 
 def test_scan_task_memory_is_linear_in_lead():
