@@ -40,14 +40,12 @@ from .ulrich_functions import GL4_CONSTANTS, deg_bracket, q_value, surface_invar
 
 NON_EXISTENCE = "NON_EXISTENCE"
 EXCLUDED = "EXCLUDED"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 REASON_PARITY = "parity obstruction"
 REASON_Q_POSITIVITY = "q-positivity"
 REASON_QUADRIC = "quadric exception"
 REASON_TYPE_22 = "type-(2,2) exception"
 REASON_LINE_BUNDLE = "line bundle"
-REASON_OUT_OF_HYPOTHESES = "out of theorem hypotheses"
 
 HYPOTHESIS_VERY_GENERAL = "X is very general"
 
@@ -409,7 +407,8 @@ def certify(n: int, degrees, r: int) -> Certificate:
     sections; then either the determinant-twist parity or the positivity of
     the obstruction value d*q at the degree tuple padded to 4 entries
     certifies non-existence.  Padding further would change witness values
-    but never the verdict.
+    but never the verdict.  cg/sos proves d*q > 0 at every such tuple, so
+    d*q <= 0 raises ArithmeticError.
     """
     n, r, degrees = index(n), index(r), tuple(map(index, degrees))
     if n < 4:
@@ -474,6 +473,9 @@ def certify(n: int, degrees, r: int) -> Certificate:
     b, denom = GL4_CONSTANTS[r]
     q = q_value(cfg.degrees, b)
     w = cfg.d * q
+    # An explicit raise, not an assert, so the check also runs under python -O.
+    if w <= 0:
+        raise ArithmeticError(f"expected d*q > 0 (cg/sos), got {w} at {cfg.degrees}")
     e, e_integral = c2_E_coeff(cfg)
     mismatch = Fraction(w, denom)
     witnesses = {
@@ -489,14 +491,10 @@ def certify(n: int, degrees, r: int) -> Certificate:
         "c2_coefficient_e": _frac_doc(e),
         "e_integral": e_integral,
     }
-    if w > 0:
-        verdict, reason = NON_EXISTENCE, REASON_Q_POSITIVITY
-    else:
-        verdict, reason = INCONCLUSIVE, REASON_OUT_OF_HYPOTHESES
     # At n = 4 the codimension-2 integrality needs Noether-Lefschetz
     # genericity; in higher dimension Lefschetz gives it outright.
     hypotheses = [HYPOTHESIS_VERY_GENERAL] if n == 4 else []
-    return Certificate(input_doc, verdict, reason, witnesses, hypotheses)
+    return Certificate(input_doc, NON_EXISTENCE, REASON_Q_POSITIVITY, witnesses, hypotheses)
 
 
 # ---------------------------------------------------------------------------

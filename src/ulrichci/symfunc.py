@@ -221,16 +221,14 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
     """Expand by restricting to four variables and inverting the restriction.
 
     Substitutes x5 = ... = xs = 1, expands the four-variable restriction
-    directly, and applies the inverse restriction map R(4 - s).  For
-    s = 4 there is nothing to substitute and this is expand_direct.
-    Independent of expand_direct on the input itself, which makes the two
-    algorithms an oracle pair.
+    directly, and applies the inverse restriction map R(4 - s).  At s = 4
+    the substitution and R(0) are identities, but the path still runs and
+    checks the reconstruction.  Independent of expand_direct on the input
+    itself, which makes the two algorithms an oracle pair.
     """
     s = G.nvars
     if s < 4:
         raise ValueError(f"expansion needs s >= 4 variables, got {s}")
-    if s == 4:
-        return expand_direct(G)
     _require_expandable(G)
     b = expand_direct(G.substitute_ones(4)).coeffs
     expansion = SymExpansion(s, _restriction_map(b, 4 - s))

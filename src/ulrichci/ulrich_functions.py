@@ -518,7 +518,7 @@ _LIST_CAP = 1000
 class ScanCell(Record):
     """Aggregate of one (b, s) slice of the positivity scan.
 
-    per_tuple is a list to collect every (tuple, q) in, or None to keep none.
+    per_tuple is None, or the list of every (tuple, q) of a listed cell.
     """
 
     __slots__ = (
@@ -532,7 +532,7 @@ class ScanCell(Record):
         "per_tuple",
     )
 
-    def __init__(self, b: int, s: int, per_tuple: list | None = None):
+    def __init__(self, b: int, s: int):
         self.b = b
         self.s = s
         self.tuples_checked = 0
@@ -540,7 +540,7 @@ class ScanCell(Record):
         self.min_tuple = None
         self.violations = []
         self.violations_omitted = 0
-        self.per_tuple = per_tuple
+        self.per_tuple = None
 
     @property
     def ok(self) -> bool:
@@ -616,7 +616,7 @@ def _prefix_bound(s: int, b: int, m2: int, m4: int, r: int, v: int) -> int:
     return _q_from_power_sums(s, b, m2 + r, m4 + r * (v**4 if b < 5 else 1))
 
 
-def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None, int]:
+def _scan_slice(task) -> tuple[int, int, tuple, list, int, int]:
     """Fold q_{s,b} over the weakly decreasing s-tuples (s >= 2) with first entry lead.
 
     The tuples are the leaves of a tree of prefixes, walked depth first in
@@ -625,20 +625,19 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None, int]:
     The next prefix drops the trailing 1s, then lowers the last entry by one.
     A prefix with r open entries, each at most its last entry v, has one exact
     lower bound (_prefix_bound), which is the q of its one tuple where r = 0 or
-    v = 1.  Without kept values, a prefix whose bound exceeds
-    max(q(lead, 1, ..., 1), 0) holds no violation and no tuple at the minimum,
-    so its C(v + r - 1, r) tuples are counted and its subtree is skipped.  The
-    rest is folded in walk order, so the first minimum is a full fold's.
+    v = 1.  A prefix whose bound exceeds max(q(lead, 1, ..., 1), 0) holds no
+    violation and no tuple at the minimum, so its C(v + r - 1, r) tuples are
+    counted and its subtree is skipped.  The rest is folded in walk order, so
+    the first minimum is a full fold's.
     Returns (tuples, min q, min tuple, first violations, violations omitted,
-    every (tuple, q) or None, steps), where steps counts the bound values the
-    walk took, the ceiling aside: the slice's work, whatever the machine.
+    steps), where steps counts the bound values the walk took, the ceiling
+    aside: the slice's work, whatever the machine.
     """
-    b, s, lead, keep_values = task
+    b, s, lead = task
     ceiling = max(_prefix_bound(s, b, lead * lead, lead**4, s - 1, 1), 0)
     # min_q starts above ceiling: the slice's last tuple (lead, 1, ..., 1)
     # has q <= ceiling, so it or an earlier tuple sets the minimum.
     count, min_q, min_tuple, violations, omitted = 0, ceiling + 1, None, [], 0
-    values = [] if keep_values else None
     stack = [[lead, 0, 0]]
     steps = 0
     while True:
@@ -651,17 +650,15 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None, int]:
         if r == 0 or v == 1:
             count += 1
             listed = q <= 0 and len(violations) < _LIST_CAP
-            if listed or q < min_q or keep_values:
+            if listed or q < min_q:
                 tup = (*(entry for entry, _, _ in stack), *(1,) * r)
                 if q < min_q:
                     min_q, min_tuple = q, tup
                 if listed:
                     violations.append((tup, q))
-                if keep_values:
-                    values.append((tup, q))
             if q <= 0 and not listed:
                 omitted += 1
-        elif keep_values or q <= ceiling:
+        elif q <= ceiling:
             stack.append([v, m2, m4])
             continue
         else:
@@ -669,7 +666,7 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, list | None, int]:
         while stack[-1][0] == 1:
             stack.pop()
         if len(stack) == 1:
-            return count, min_q, min_tuple, violations, omitted, values, steps
+            return count, min_q, min_tuple, violations, omitted, steps
         stack[-1][0] -= 1
 
 
@@ -747,21 +744,15 @@ def verify_cg_scan(
     that finishes within the budget starts no pool and imports none.
     Results are folded in task order, so the report is identical for any
     worker count.  A cell keeps its first 1000 violations in scan order and
-    counts the rest in violations_omitted; per-tuple values are kept only for
-    cells of at most 1000 tuples, i.e. C(s+d_max-1, s) - 1 <= 1000.
+    counts the rest in violations_omitted.  With per_tuple, each cell of at
+    most 1000 tuples, i.e. C(s+d_max-1, s) - 1 <= 1000, lists every (tuple,
+    q) in scan order, from q_value over _iter_degree_tuples after the walk.
     """
     b_values = tuple(b_values)
     check_scan_grid(s_max, d_max, b_values)
     s_range = range(2, s_max + 1)
-    keep = {s: per_tuple and comb(s + d_max - 1, s) - 1 <= _LIST_CAP for s in s_range}
-    cells = [
-        ScanCell(b=b, s=s, per_tuple=[] if keep[s] else None)
-        for b in b_values
-        for s in s_range
-    ]
-    tasks = [
-        (b, s, lead, keep[s]) for b in b_values for s in s_range for lead in range(d_max, 1, -1)
-    ]
+    cells = [ScanCell(b, s) for b in b_values for s in s_range]
+    tasks = [(b, s, lead) for b in b_values for s in s_range for lead in range(d_max, 1, -1)]
     # The step count depends on the grid alone, so which tasks run here does
     # not depend on the clock or the machine.
     partials, steps = [], 0
@@ -769,7 +760,7 @@ def verify_cg_scan(
         if workers > 1 and steps >= _SERIAL_STEPS:
             break
         partials.append(_scan_slice(task))
-        steps += partials[-1][6]
+        steps += partials[-1][5]
     rest = tasks[len(partials):]
     if rest:
         # A fork-started pool forks all its workers at once: never more than the CPUs.
@@ -778,7 +769,7 @@ def verify_cg_scan(
             partials += pool.map(_scan_slice, rest)
     # Every (b, s) has d_max - 1 consecutive tasks, none of them empty, in
     # the order of the cells.
-    for i, (count, min_q, min_tuple, violations, omitted, values, _) in enumerate(partials):
+    for i, (count, min_q, min_tuple, violations, omitted, _) in enumerate(partials):
         cell = cells[i // (d_max - 1)]
         cell.tuples_checked += count
         if cell.min_q is None or min_q < cell.min_q:
@@ -786,8 +777,9 @@ def verify_cg_scan(
         room = _LIST_CAP - len(cell.violations)
         cell.violations.extend(violations[:room])
         cell.violations_omitted += omitted + max(len(violations) - room, 0)
-        if values is not None:
-            cell.per_tuple.extend(values)
+    for cell in cells:
+        if per_tuple and comb(cell.s + d_max - 1, cell.s) - 1 <= _LIST_CAP:
+            cell.per_tuple = [(t, q_value(t, cell.b)) for t in _iter_degree_tuples(cell.s, d_max)]
     return ScanReport(s_max=s_max, d_max=d_max, b_values=b_values, cells=cells)
 
 

@@ -14,7 +14,6 @@ import pytest
 from ulrichci import __version__
 from ulrichci.ci_invariants import (
     EXCLUDED,
-    INCONCLUSIVE,
     NON_EXISTENCE,
     CIConfig,
     Certificate,
@@ -532,6 +531,15 @@ def test_certify_high_dimension_quadric_witness():
         assert cert.verdict == NON_EXISTENCE
         assert cert.witnesses["d_times_q"] == 180
         assert cert.hypotheses == []  # unconditional above dimension 4
+
+
+def test_certify_raises_where_d_times_q_is_not_positive(monkeypatch):
+    # cg/sos proves d*q > 0 on admissible input, so d*q <= 0 is a defect, not a verdict.
+    import ulrichci.ci_invariants as ci
+
+    monkeypatch.setattr(ci, "q_value", lambda degrees, b: 0)
+    with pytest.raises(ArithmeticError, match=r"expected d\*q > 0 \(cg/sos\), got 0"):
+        certify(4, (3, 2), 2)
 
 
 def test_certify_n4_carries_genericity_hypothesis():

@@ -396,8 +396,10 @@ def test_scan_empty_b_exits_2(capsys):
     [
         ("--b", "-3,5", ["scan", "--s-max", "2", "--d-max", "2"]),
         ("--m", "-3..6", ["invariants", "--n", "5", "--degrees", "2,3", "--r", "2"]),
+        ("--b", "-3,-5", ["scan", "--s-max", "2", "--d-max", "2"]),
+        ("--m", "-5..-1", ["invariants", "--n", "5", "--degrees", "2,3", "--r", "2"]),
     ],
-    ids=["scan-b", "invariants-m"],
+    ids=["scan-b", "invariants-m", "scan-b-two-negatives", "invariants-m-negative-range"],
 )
 def test_value_starting_with_minus(capsys, option, value, command):
     # argparse alone reads "-3,5" as an option and exits 2.

@@ -300,6 +300,27 @@ def test_s_equal_four_aliases_direct(random_expansion):
     assert expand_via_restriction(G).coeffs == expand_direct(G).coeffs
 
 
+def test_restriction_path_runs_at_s_equal_four(monkeypatch, random_expansion):
+    # substitute_ones(4) and R(0) are identities at s = 4, so the path gives
+    # expand_direct's result and errors, but it goes through the map.
+    calls = []
+    restriction_map = symfunc._restriction_map
+
+    def counting(coeffs, t):
+        calls.append(t)
+        return restriction_map(coeffs, t)
+
+    monkeypatch.setattr(symfunc, "_restriction_map", counting)
+    G = random_expansion(4, random.Random(11)).reconstruct()
+    assert expand_via_restriction(G).coeffs == expand_direct(G).coeffs
+    assert calls == [0]
+    x1, x2, x3, _ = MultiPoly.gens(4)
+    with pytest.raises(NotSymmetric):
+        expand_via_restriction(x1 + x2 + x3)
+    with pytest.raises(ValueError, match="degree 5 > 4"):
+        expand_via_restriction(x1 + x2 + x3 + x1 * x1 * x1 * x1 * x1)
+
+
 # -- product identity table --------------------------------------------------------------
 
 

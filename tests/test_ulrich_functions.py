@@ -556,7 +556,7 @@ def test_scan_pool_capped_at_cpu_count(monkeypatch, cpus, size):
 def test_scan_budget_changes_no_report(monkeypatch):
     # The tasks before the budget runs out run in this process and the rest
     # in the pool: at 0 every task is pooled, at 1 all but the first, and at
-    # 200 the grids below (3,749, 10,989 and 338 bound values) are split.
+    # 100 the grids below (3,749, 10,989 and 126 bound values) are split.
     # The grids are the scan digest "ties" grid of the CLI tests, one whose
     # cells omit violations, and one that lists every tuple.
     grids = [
@@ -566,10 +566,10 @@ def test_scan_budget_changes_no_report(monkeypatch):
     ]
     serial = [verify_cg_scan(**grid, workers=1).to_dict() for grid in grids]
     default = ulrich_functions._SERIAL_STEPS
-    monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", 200)
+    monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", 100)
     assert verify_cg_scan(**grids[1], workers=2).to_dict() == serial[1]  # a real pool
     sizes = _serial_pool(monkeypatch)
-    for budget in (0, 1, 200, default):
+    for budget in (0, 1, 100, default):
         monkeypatch.setattr(ulrich_functions, "_SERIAL_STEPS", budget)
         sizes.clear()
         for grid, expected in zip(grids, serial):
@@ -591,7 +591,7 @@ def test_iter_degree_tuples_order():
             assert list(_iter_degree_tuples(s, d_max)) == expected, (s, d_max)
 
 
-def _q_value_fold(b, s, lead, keep_values):
+def _q_value_fold(b, s, lead):
     """_scan_slice's result, folded from q_value over _iter_degree_tuples."""
     tuples = [tup for tup in _iter_degree_tuples(s, lead) if tup[0] == lead]
     values = [(tup, q_value(tup, b)) for tup in tuples]
@@ -603,7 +603,6 @@ def _q_value_fold(b, s, lead, keep_values):
         min_tuple,
         violations[:1000],
         max(len(violations) - 1000, 0),
-        values if keep_values else None,
     )
 
 
@@ -612,29 +611,23 @@ def test_scan_slice_matches_q_value_fold(monkeypatch):
     # and -23 reach their minimum q at more than one tuple (b = -4 at
     # (2, 2, 1) and (2, 1, 1)), where the first one is the minimum tuple.
     b_values = (-1000, -23, -10, -4, -3, 0, 3, 4, 5, 8, 9)
-    cases = [
-        (b, s, lead, keep_values)
-        for s in range(2, 8)
-        for lead in range(2, 7)
-        for b in b_values
-        for keep_values in (False, True)
-    ]
+    cases = [(b, s, lead) for s in range(2, 8) for lead in range(2, 7) for b in b_values]
     # Slices with more violations than a cell lists (5005 at s = 7, lead
     # 10), slices whose tuples hold long runs of equal entries, and s far
     # beyond the recursion limit: at b = 8 the walk clears (2, 2) at depth
     # 1, and at b = -1000 it walks every prefix down to depth 1100.
-    cases += [(-1000, 6, 10, False), (-1000, 7, 10, False), (-3, 40, 4, True), (9, 40, 4, True)]
-    cases += [(8, 1100, 2, False), (-1000, 1100, 2, False)]
+    cases += [(-1000, 6, 10), (-1000, 7, 10), (-3, 40, 4), (9, 40, 4)]
+    cases += [(8, 1100, 2), (-1000, 1100, 2)]
     # Wide trees: s = 2 and 3 under a lead of 70 or 100, whose root has as many children.
-    cases += [(9, 2, 100, True), (-1000, 3, 70, False), (8, 3, 100, False)]
-    # The seventh field counts the walk's bound values, all but the ceiling.
+    cases += [(9, 2, 100), (-1000, 3, 70), (8, 3, 100)]
+    # The sixth field counts the walk's bound values, all but the ceiling.
     calls = _record_prefix_bounds(monkeypatch)
     for case in cases:
         calls.clear()
         *fields, steps = _scan_slice(case)
         assert tuple(fields) == _q_value_fold(*case), case
         assert steps == len(calls) - 1, case
-    assert _scan_slice((-1000, 7, 10, False))[4] == 5005 - 1000
+    assert _scan_slice((-1000, 7, 10))[4] == 5005 - 1000
 
 
 def test_prefix_bound_is_below_every_completion():
@@ -679,19 +672,24 @@ def test_prefix_bound_clears_the_largest_benchmark_task(monkeypatch):
     calls = _record_prefix_bounds(monkeypatch)
     for b in (8, 9):
         calls.clear()
-        count, min_q, min_tuple, violations, *_, steps = _scan_slice((b, 12, 10, False))
+        count, min_q, min_tuple, violations, _, steps = _scan_slice((b, 12, 10))
         assert len(calls) <= 10 + 2, (b, calls)
         assert steps == len(calls) - 1, b
         assert count == comb(10 + 10, 11) and violations == []
         assert min_tuple == (10,) + (1,) * 11 and min_q == q_value(min_tuple, b)
-    # Kept values list every tuple's q, so no subtree is cleared: after the
-    # ceiling, each tuple is one prefix whose bound is its q.
-    for b in (8, 9):
-        calls.clear()
-        count, *_, values, steps = _scan_slice((b, 5, 4, True))
-        leaves = sum(r == 0 or v == 1 for r, v in calls[1:])
-        assert leaves == count == len(values) == comb(7, 4), b
-        assert steps == len(calls) - 1, b
+
+
+def test_listed_cells_walk_like_any_other(monkeypatch):
+    # Listing takes each tuple's q from q_value after the walk, so the walk
+    # takes the same bound values with and without it: the 24 ceilings of
+    # the 24 tasks and 126 steps.
+    calls = _record_prefix_bounds(monkeypatch)
+    verify_cg_scan(4, 5, (0, 9))
+    unlisted = calls[:]
+    calls.clear()
+    report = verify_cg_scan(4, 5, (0, 9), per_tuple=True)
+    assert calls == unlisted and len(calls) == 24 + 126
+    assert all(cell.per_tuple for cell in report.cells)
 
 
 def test_scan_task_memory_is_linear_in_lead():
@@ -701,10 +699,10 @@ def test_scan_task_memory_is_linear_in_lead():
     # the benchmark grid.
     tracemalloc.start()
     try:
-        _scan_slice((8, 2, 2000, False))
-        _scan_slice((8, 3, 200, False))
-        _scan_slice((8, 12, 10, False))
-        _scan_slice((9, 12, 10, False))
+        _scan_slice((8, 2, 2000))
+        _scan_slice((8, 3, 200))
+        _scan_slice((8, 12, 10))
+        _scan_slice((9, 12, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
