@@ -95,7 +95,7 @@ class CIConfig(FrozenRecord):
     @property
     def i_X(self) -> int:
         """Subcanonical index: -K_X = i_X * H."""
-        return self.n + self.s + 1 - self.S
+        return -canonical_coeff(self)
 
     def padded(self, min_s: int) -> "CIConfig":
         """Pad the degree tuple with 1's up to min_s entries (same variety)."""
@@ -119,8 +119,8 @@ def det_twist(cfg: CIConfig) -> Fraction:
 
 
 def parity_obstruction(cfg: CIConfig) -> bool:
-    """True when r(S - s) is odd, so no rank-r Ulrich bundle can exist."""
-    return (cfg.r * (cfg.S - cfg.s)) % 2 == 1
+    """True when u = r(S - s)/2 is not an integer, so no rank-r Ulrich bundle can exist."""
+    return det_twist(cfg).denominator != 1
 
 
 def _det_twist_int(cfg: CIConfig) -> int:
@@ -323,7 +323,7 @@ def c2_E_coeff(cfg: CIConfig) -> tuple[Fraction, bool]:
     classes on X are integer multiples of H^2, so a non-integral e is itself
     non-existence evidence under those hypotheses.
     """
-    e = Fraction(cfg.r * deg_bracket(cfg.r, cfg.s, cfg.S, cfg.S2), 24)
+    e = deg_Z(cfg) / cfg.d
     return e, e.denominator == 1
 
 

@@ -140,13 +140,17 @@ def _write_output(path: str, payload: str) -> None:
 def _emit(doc: dict, render, args) -> None:
     """Print DOC as JSON, or the text render() returns; --output writes it instead.
 
-    render is called only for --format text.
+    render is called only for --format text.  Once the reader closes stdout,
+    the rest goes to os.devnull, where the flush at exit cannot fail.
     """
     import json
 
     payload = json.dumps(doc, indent=2) if args.format == "json" else render()
     if not args.output:
-        print(payload)
+        try:
+            print(payload, flush=True)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         _write_output(args.output, payload + "\n")
@@ -170,15 +174,14 @@ def _base_doc(command: str, parameters: dict) -> dict:
 
 def _run_suite(suite: str, args) -> list:
     if suite == "cg":
-        from .ulrich_functions import GL4_CONSTANTS, SCAN_B_VALUES
-        from .ulrich_functions import verify_cg_induction, verify_cg_scan
+        from .ulrich_functions import SCAN_B_VALUES, verify_cg_induction, verify_cg_scan
 
         report = verify_cg_scan(
             args.s_max, args.d_max, SCAN_B_VALUES, workers=args.workers
         )
         results = _scan_checks(report)
         for s in range(2, args.s_max + 1):
-            for b, _ in GL4_CONSTANTS.values():
+            for b in SCAN_B_VALUES:
                 results.extend(verify_cg_induction(s, b))
         return results
     home, name, min_s, default_range, pairs = _RANGED_SUITES[suite]
@@ -359,12 +362,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .ulrich_functions import verify_cg_scan
+    from .ulrich_functions import SCAN_B_VALUES, verify_cg_scan
 
+    b_values = SCAN_B_VALUES if args.b is None else args.b
     report = verify_cg_scan(
         args.s_max,
         args.d_max,
-        b_values=args.b,
+        b_values=b_values,
         workers=args.workers,
         per_tuple=args.list_tuples,
     )
@@ -373,7 +377,7 @@ def _cmd_scan(args) -> int:
         {
             "s_max": args.s_max,
             "d_max": args.d_max,
-            "b": list(args.b),
+            "b": list(b_values),
             "workers": args.workers,
         },
     )
@@ -467,9 +471,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p_scan.add_argument("--s-max", type=int, required=True)
     p_scan.add_argument("--d-max", type=int, required=True)
-    p_scan.add_argument(
-        "--b", type=_parse_int_list, default="8,9", help='comma separated, e.g. "8,9"'
-    )
+    p_scan.add_argument("--b", type=_parse_int_list, help='comma separated, e.g. "8,9"')
     p_scan.add_argument("--workers", type=_positive_int, default=1)
     p_scan.add_argument(
         "--list-tuples",

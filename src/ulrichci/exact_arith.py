@@ -1,9 +1,9 @@
 """Exact rational arithmetic and the generalized binomial coefficient.
 
 Scalars are stdlib Fractions (always reduced, positive denominator).
-Polynomials do not store one Fraction per term: polyring keeps integer
-numerators over a single reduced denominator, its own canonical form, so
-polynomial equality stays a plain comparison of term maps.
+binom_poly works in the ring of its argument, a polynomial or any value
+with + and * by integers, so this module imports no other module of the
+package.
 
 The binomial coefficient follows the falling-factorial convention
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .polyring import MultiPoly
-
 
 def binom_int(ell: int, m: int) -> int:
     """Generalized binomial l over m for any integer l and m >= 0, as an int.
@@ -35,16 +33,16 @@ def binom_int(ell: int, m: int) -> int:
     return (-1) ** m * comb(m - ell - 1, m)
 
 
-def binom_poly(arg: MultiPoly, m: int) -> MultiPoly:
+def binom_poly(arg, m: int):
     """Generalized binomial of a polynomial upper argument.
 
-    Returns prod_{j=0}^{m-1} (arg - j) / m!, expanded.  The product is built
-    incrementally so intermediate results stay normalized (zero terms pruned
-    at every step); the degree of the result is m * deg(arg).
+    Returns prod_{j=0}^{m-1} (arg - j) / m!, expanded in the ring of arg.  The
+    product is built incrementally so intermediate results stay normalized;
+    the degree of the result is m * deg(arg).
     """
     if m < 0:
         raise ValueError(f"lower binomial index must be non-negative, got {m}")
-    result = MultiPoly.const(arg.nvars, 1)
+    result = arg * 0 + 1
     for j in range(m):
         result = result * (arg - j)
     return result.scale(Fraction(1, factorial(m)))

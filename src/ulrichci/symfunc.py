@@ -13,7 +13,8 @@ from_basis(coeffs, s) builds the combination of the basis with the given
 coefficients in s variables, for every s >= 1.  Two independent expansion
 algorithms go the other way: reading coefficients off leading monomials, and
 restriction to four variables followed by inverting the restriction map.
-They form an oracle pair for each other.
+They form an oracle pair; both test span membership by rebuilding the input
+from their coefficients through from_basis.
 """
 
 from __future__ import annotations
@@ -143,33 +144,30 @@ def _require_expandable(G: MultiPoly) -> None:
         raise NotSymmetric("polynomial is not symmetric")
 
 
+def _in_span(G: MultiPoly, coeffs) -> SymExpansion:
+    """The expansion with COEFFS, if they rebuild G through from_basis.
+
+    Otherwise G is outside the basis span; degree and symmetry are tested
+    first, to name the error.
+    """
+    expansion = SymExpansion(G.nvars, coeffs)
+    if expansion.reconstruct() != G:
+        _require_expandable(G)
+        raise ValueError("polynomial is outside the basis span")
+    return expansion
+
+
 def expand_direct(G: MultiPoly) -> SymExpansion:
     """Expand a symmetric polynomial of degree <= 4 by reading leading monomials.
 
     Each basis coefficient is the coefficient of the leading monomial of its
-    partition (x1^4 for m4, x1^3*x2 for m31, ...).  G is in the span of the
-    basis exactly when the orbits of the nonzero coefficients hold as many
-    terms as G and every term carries the coefficient of its sorted exponent
-    vector, which must be one of those leading monomials.  Only when this
-    orbit check fails are degree and symmetry tested, to name the error.
+    partition (x1^4 for m4, x1^3*x2 for m31, ...), and _in_span checks that
+    they rebuild G.
     """
     s = G.nvars
     if s < 4:
         raise ValueError(f"expansion needs s >= 4 variables, got {s}")
-    num = G._num
-    leads = [lam + (0,) * (s - len(lam)) for lam in BASIS]
-    spanned = {lead: num[lead] for lead in leads if lead in num}
-    orbit_terms = sum(
-        _monomial_sym(lam, s).num_terms
-        for lam, lead in zip(BASIS, leads)
-        if lead in spanned
-    )
-    if G.num_terms != orbit_terms or any(
-        spanned.get(tuple(sorted(e, reverse=True))) != c for e, c in num.items()
-    ):
-        _require_expandable(G)
-        raise ValueError("polynomial is outside the basis span")
-    return SymExpansion(s, tuple(G.coefficient(lead) for lead in leads))
+    return _in_span(G, [G.coefficient(lam + (0,) * (s - len(lam))) for lam in BASIS])
 
 
 def restriction_coefficients(
@@ -231,13 +229,7 @@ def expand_via_restriction(G: MultiPoly) -> SymExpansion:
         raise ValueError(f"expansion needs s >= 4 variables, got {s}")
     _require_expandable(G)
     b = expand_direct(G.substitute_ones(4)).coeffs
-    expansion = SymExpansion(s, _restriction_map(b, 4 - s))
-    if expansion.reconstruct() != G:
-        raise ValueError(
-            "restriction solve does not reconstruct the input; "
-            "polynomial is outside the basis span"
-        )
-    return expansion
+    return _in_span(G, _restriction_map(b, 4 - s))
 
 
 # -- identity tables ---------------------------------------------------------

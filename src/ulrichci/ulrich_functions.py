@@ -26,6 +26,7 @@ data both come from it.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -670,24 +671,27 @@ def _scan_slice(task) -> tuple[int, int, tuple, list, int, int]:
         stack[-1][0] -= 1
 
 
-#: Most q evaluations one scan may make, over all its b values, so that a
-#: huge grid fails before any work.
+#: Most tuples one scan may cover, counted once per b and not by the values of
+#: q its walks take, so that a huge grid fails before any work.
 MAX_SCAN_TUPLES = 10**9
 
 
 def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...]) -> int:
-    """The number of q evaluations per b of a scan; ValueError for a grid the scan refuses.
+    """The number of tuples per b a scan covers; ValueError for a grid the scan refuses.
 
-    Per b the scan evaluates C(s_max + d_max, s_max) - d_max - s_max tuples:
+    Per b the scan covers C(s_max + d_max, s_max) - d_max - s_max tuples:
     sum_{s=2}^{s_max} C(s + d_max - 1, s), less one all-ones tuple per s.  A
-    grid of more than MAX_SCAN_TUPLES evaluations over all b is refused.  The
-    binomial is a running product that stops once it passes the bound, so a
-    huge grid costs a few steps.
+    grid that covers more than MAX_SCAN_TUPLES tuples over all b is refused,
+    and so is a repeated b.  The binomial is a running product that stops
+    once it passes the bound, so a huge grid costs a few steps.
     """
     if s_max < 2 or d_max < 2:
         raise ValueError("scan needs s_max >= 2 and d_max >= 2")
     if not b_values:
         raise ValueError("scan needs at least one b value")
+    repeated = [b for b, count in Counter(b_values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"b value {repeated[0]} is repeated; each b is scanned once")
     cap = MAX_SCAN_TUPLES // len(b_values) + d_max + s_max
     n, k = s_max + d_max, min(s_max, d_max)
     size = 1
@@ -696,7 +700,7 @@ def check_scan_grid(s_max: int, d_max: int, b_values: tuple[int, ...]) -> int:
         if size > cap:
             raise ValueError(
                 f"scan over s <= {s_max}, d <= {d_max} and {len(b_values)} b value(s) "
-                f"needs more than {MAX_SCAN_TUPLES} q evaluations (MAX_SCAN_TUPLES)"
+                f"covers more than {MAX_SCAN_TUPLES} tuples (MAX_SCAN_TUPLES)"
             )
     return size - d_max - s_max
 
@@ -728,9 +732,9 @@ def verify_cg_scan(
 
     Enumerates weakly decreasing tuples with entries in 1..d_max and product
     at least 2, for s = 2..s_max, and requires q > 0 at every point.  A grid
-    of more than MAX_SCAN_TUPLES q evaluations over all b is refused before
-    any work.  One task is the slice of one b, one s and one leading entry
-    (_scan_slice); it walks the prefixes of its tuples in order with running
+    that covers more than MAX_SCAN_TUPLES tuples over all b, or repeats a b,
+    is refused before any work.  One task is the slice of one b, one s and
+    one leading entry (_scan_slice); it walks the prefixes of its tuples in order with running
     power sums, so each step costs O(1) whatever s is.  Every tuple is
     covered exactly, either by its value of q or by one exact lower bound on
     a prefix, which clears the prefix's subtree when it can hold neither a

@@ -179,8 +179,8 @@ def test_verify_runs_the_verifier_bound_on_its_module(monkeypatch, module, name,
         (["--suite", "cg", "--s-max", "1"], "scan needs s_max >= 2 and d_max >= 2\n"),
         (
             ["--d-max", "100000000"],
-            "scan over s <= 6, d <= 100000000 and 2 b value(s) needs more than "
-            "1000000000 q evaluations (MAX_SCAN_TUPLES)\n",
+            "scan over s <= 6, d <= 100000000 and 2 b value(s) covers more than "
+            "1000000000 tuples (MAX_SCAN_TUPLES)\n",
         ),
     ],
     ids=["gl4", "all", "cg", "all-d-max", "cg-s-max", "all-huge-d-max"],
@@ -391,6 +391,24 @@ def test_scan_empty_b_exits_2(capsys):
     assert captured.err == "error: scan needs at least one b value\n"
 
 
+def test_scan_repeated_b_exits_2_before_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid check")
+
+    monkeypatch.setattr(ulrich_functions, "_scan_slice", no_work)
+    assert main(["scan", "--s-max", "3", "--d-max", "3", "--b", "8,8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: b value 8 is repeated; each b is scanned once\n"
+
+
+def test_scan_default_b_is_scan_b_values(capsys):
+    code, doc = run_json(capsys, "scan", "--s-max", "3", "--d-max", "3")
+    assert doc["parameters"]["b"] == doc["b_values"] == list(SCAN_B_VALUES)
+    assert (code, doc) == run_json(capsys, "scan", "--s-max", "3", "--d-max", "3", "--b", "8,9")
+    assert main(["scan", "--s-max", "3", "--d-max", "3", "--b", ""]) == 2
+
+
 @pytest.mark.parametrize(
     "option, value, command",
     [
@@ -427,7 +445,7 @@ def test_huge_scan_grid_exits_2_at_once(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: scan over s <= ")
-    assert captured.err.endswith(" needs more than 1000000000 q evaluations (MAX_SCAN_TUPLES)\n")
+    assert captured.err.endswith(" covers more than 1000000000 tuples (MAX_SCAN_TUPLES)\n")
     assert elapsed < 1
 
 
@@ -444,8 +462,10 @@ def test_scan_reports_omitted_violations(capsys):
 
 #: sha256 of scan --format json stdout with parameters.workers removed, taken
 #: when each b had its own walk over the tuples: one grid whose cells cap and
-#: omit violations, one that lists every tuple and repeats a b; and the
-#: benchmark grid, which passes, taken when each tuple was one Horner step.
+#: omit violations, one that lists every tuple; and the benchmark grid, which
+#: passes, taken when each tuple was one Horner step.  The listed grid once
+#: repeated b = 5; a repeated b is now refused, and its digest is of that
+#: report with the repeated cells dropped, as the code before printed it.
 SCAN_DIGESTS = {
     "bench": (
         ["--s-max", "12", "--d-max", "10", "--b", "8,9"],
@@ -456,8 +476,8 @@ SCAN_DIGESTS = {
         "52efbdf8fca075ded3dd6f804797bc082ed13be866024769a4434e277404e217",
     ),
     "listed": (
-        ["--s-max", "4", "--d-max", "5", "--b=-3,5,5", "--list-tuples"],
-        "c0fcb8a341d081ee27c5078d1159a36341384ce1a0dc8f3065f9e85549959d34",
+        ["--s-max", "4", "--d-max", "5", "--b=-3,5", "--list-tuples"],
+        "79c96d7078d861a32eb360f932eb63ce6d75fee543f0e9c5e789b3e493fbf303",
     ),
     # Minima tied across rows, a table value (b - 5) y + 5 x^2 that is not
     # monotone along a row (b = 3) and rows with a negative slope in x.
@@ -596,6 +616,32 @@ def test_output_to_fifo_writes_through(tmp_path, capsys):
     reader.join(timeout=10)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert received and "NON_EXISTENCE" in received[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "4", "--degrees", "3", "--r", "2"],
+        ["scan", "--s-max", "4", "--d-max", "5", "--b", "8,9", "--list-tuples"],
+    ],
+    ids=["certify", "scan"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # A reader such as `| head -1` may close the pipe before the output is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ulrichci.cli", *argv, "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_usage_error_unknown_suite():

@@ -129,9 +129,10 @@ def _load_time_imports(path: Path) -> list[str]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "exact_arith.py"])
 def test_entry_modules_import_no_computation_module_at_load(name):
-    # --version, --help and usage errors must not pay for the engine.
+    # --version, --help and usage errors must not pay for the engine, and
+    # exact_arith computes in the ring of its argument without importing it.
     assert COMPUTATION >= {"ci_invariants", "polyring", "symfunc", "ulrich_functions"}
     assert _load_time_imports(PACKAGE / name) == []
 

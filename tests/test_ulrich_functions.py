@@ -725,14 +725,14 @@ def test_scan_grid_count_and_bound(monkeypatch):
         expected = sum(comb(s + d_max - 1, s) - 1 for s in range(2, s_max + 1))
         assert check_scan_grid(s_max, d_max, (8,)) == expected, (s_max, d_max)
     assert check_scan_grid(12, 10, (8, 9)) == 646_624
-    # The bound counts every b, a repeated b included, and is inclusive.
-    b_values = (0, 9, 9)
+    # The bound counts every b and is inclusive.
+    b_values = (0, 8, 9)
     total = verify_cg_scan(4, 5, b_values=b_values).total_tuples
     assert total == 3 * check_scan_grid(4, 5, b_values) == 3 * 117
     monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total)
     assert verify_cg_scan(4, 5, b_values=b_values).total_tuples == total
     monkeypatch.setattr(ulrich_functions, "MAX_SCAN_TUPLES", total - 1)
-    with pytest.raises(ValueError, match=r"more than 350 q evaluations \(MAX_SCAN_TUPLES\)"):
+    with pytest.raises(ValueError, match=r"more than 350 tuples \(MAX_SCAN_TUPLES\)"):
         verify_cg_scan(4, 5, b_values=b_values)
     monkeypatch.undo()
     # A huge grid is refused after a few steps of the running product.
@@ -773,6 +773,11 @@ def test_scan_rejects_bad_ranges():
         verify_cg_scan(1, 6)
     with pytest.raises(ValueError):
         verify_cg_scan(3, 2, b_values=())
+    # A repeated b would scan and report each of its cells twice.
+    with pytest.raises(ValueError, match="b value 8 is repeated"):
+        verify_cg_scan(3, 3, (8, 8))
+    with pytest.raises(ValueError, match="b value 9 is repeated"):
+        check_scan_grid(3, 3, (9, 8, 0, 9))
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
