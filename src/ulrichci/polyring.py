@@ -1,29 +1,45 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A polynomial in s variables x1..xs is stored as a map from length-s exponent
-tuples to nonzero integer numerators, over one positive integer denominator
-shared by all terms.  The representation is canonical (no zero numerators,
-the denominator and the numerators have gcd 1, the zero polynomial has
-denominator 1, fixed variable count), so two polynomials are equal exactly
-when their term maps and denominators are equal.  Ring operations run on
-Python ints followed by one gcd pass; coefficients are handed out as
-Fractions.  All values are immutable; every operation returns a fresh
-polynomial, which makes them safe to share across threads or worker
-processes.
+A polynomial in s variables x1..xs is stored as a map from packed exponent
+keys to nonzero integer numerators, over one positive integer denominator
+shared by all terms.  A key is the exponent vector read as a big-endian
+int, one byte (FIELD_BITS) per variable, x1 in the top byte, so int order is
+lex order of the exponent vectors.  Each field keeps its top bit clear as a
+guard, which caps every exponent at MAX_EXP and shows a carry or a borrow
+of the key arithmetic.  Ring operations
+run on Python ints (a product of monomials is a sum of keys) followed by one
+gcd pass; coefficients are handed out as Fractions and exponents as tuples.
+The representation is canonical (no zero numerators, the denominator and
+the numerators have gcd 1, the zero polynomial has denominator 1, fixed
+variable count), so two polynomials are equal exactly when their term maps
+and denominators are equal.  All values are immutable; every operation
+returns a fresh polynomial, which makes them safe to share across threads
+or worker processes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Iterator, Mapping, Sequence
 
 # Hard cap on the variable count.  Term counts grow combinatorially with the
 # number of variables; 12 keeps worst-case memory deterministic at desk scale.
 MAX_VARS = 12
 
-Exponents = tuple  # length-nvars tuple of non-negative ints
+#: Bits per variable in a packed key, the exponent under one guard bit: one
+#: byte, so that _pack and _unpack are bytes conversions.
+FIELD_BITS = 8
+#: Largest exponent a variable may carry; anything larger raises ValueError.
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+_MASK = (1 << FIELD_BITS) - 1
+#: _ONES[n] is the key of x1*...*xn, and _GUARDS[n] has every guard bit of n fields.
+_ONES = [sum(1 << FIELD_BITS * i for i in range(n)) for n in range(MAX_VARS + 1)]
+_GUARDS = [ones << FIELD_BITS - 1 for ones in _ONES]
+
+Exponents = tuple  # length-nvars tuple of ints in 0..MAX_EXP, the public form of a key
 
 
 class DimensionMismatch(ValueError):
@@ -43,23 +59,49 @@ def _check_nvars(nvars) -> None:
 
 
 def _exact(value) -> Fraction:
-    """Fraction(value), refusing floats, which would enter as binary fractions."""
+    """value as a Fraction, refusing floats, which would enter as binary fractions."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"inexact float {value!r}; pass an int or a Fraction")
     return Fraction(value)
 
 
+def _pack(exps: Sequence[int]) -> int:
+    """The key of an exponent vector whose entries lie in 0..MAX_EXP."""
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _shifts(nvars: int) -> range:
+    """Where each variable's field starts in a key, x1 first."""
+    return range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS)
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    return tuple(key.to_bytes(nvars, "big"))
+
+
+def _spills(keys, guard: int) -> bool:
+    """Whether a key went negative or set a guard bit: a field left 0..MAX_EXP."""
+    spread = reduce(or_, keys, 0)
+    return spread < 0 or spread & guard != 0
+
+
+def _overflow(operation: str) -> ValueError:
+    return ValueError(f"{operation} has an exponent above MAX_EXP={MAX_EXP}")
+
+
 class MultiPoly:
     """Immutable sparse polynomial in x1..xs with rational coefficients.
 
-    The coefficient of x^e is Fraction(_num[e], _den).
+    The coefficient of x^e is Fraction(_num[_pack(e)], _den).
     """
 
     __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None):
         _check_nvars(nvars)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
@@ -68,9 +110,11 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
+                if any(e > MAX_EXP for e in exps):
+                    raise ValueError(f"exponent in {exps!r} is above MAX_EXP={MAX_EXP}")
                 c = _exact(coeff)
                 if c:
-                    clean[tuple(exps)] = c
+                    clean[_pack(exps)] = c
         den = lcm(*(c.denominator for c in clean.values()))
         num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         object.__setattr__(self, "nvars", nvars)
@@ -78,11 +122,9 @@ class MultiPoly:
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _from_trusted(
-        cls, nvars: int, num: dict[Exponents, int], den: int
-    ) -> "MultiPoly":
-        # Internal fast path: caller guarantees canonical keys, nonzero int
-        # numerators and a positive denominator coprime to them.
+    def _from_trusted(cls, nvars: int, num: dict[int, int], den: int) -> "MultiPoly":
+        # Internal fast path: caller guarantees keys within the field caps,
+        # nonzero int numerators and a positive denominator coprime to them.
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_num", num)
@@ -90,7 +132,7 @@ class MultiPoly:
         return self
 
     @classmethod
-    def _reduced(cls, nvars: int, num: dict[Exponents, int], den: int) -> "MultiPoly":
+    def _reduced(cls, nvars: int, num: dict[int, int], den: int) -> "MultiPoly":
         # Nonzero int numerators over den > 0, divided by their common gcd.
         g = gcd(den, *num.values()) if den != 1 else 1
         if g != 1:
@@ -102,8 +144,9 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        # pickle and copy would restore the slots through __setattr__.
-        return (MultiPoly._from_trusted, (self.nvars, self._num, self._den))
+        # pickle and copy would restore the slots through __setattr__; the
+        # pickled state is the public tuple form, independent of the key layout.
+        return (MultiPoly, (self.nvars, dict(self.terms())))
 
     # -- constructors -----------------------------------------------------
 
@@ -113,7 +156,9 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        _check_nvars(nvars)
+        c = _exact(value)
+        return cls._from_trusted(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -131,8 +176,8 @@ class MultiPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
-        den = self._den
-        return ((e, Fraction(c, den)) for e, c in self._num.items())
+        nvars, den = self.nvars, self._den
+        return ((_unpack(e, nvars), Fraction(c, den)) for e, c in self._num.items())
 
     @property
     def num_terms(self) -> int:
@@ -144,7 +189,7 @@ class MultiPoly:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        return max((sum(e) for e in self._num), default=0)
+        return max((sum(_unpack(e, self.nvars)) for e in self._num), default=0)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
@@ -152,7 +197,9 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"exponent vector length {len(exps)} != nvars {self.nvars}"
             )
-        return Fraction(self._num.get(exps, 0), self._den)
+        if not all(0 <= e <= MAX_EXP for e in exps):
+            return Fraction(0)  # no term can carry it
+        return Fraction(self._num.get(_pack(exps), 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -217,12 +264,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
         get = out.get
+        right = other._num.items()
         for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                key = tuple(map(add, e1, e2))
+            for e2, c2 in right:
+                key = e1 + e2
                 out[key] = get(key, 0) + c1 * c2
+        if _spills(out, _GUARDS[self.nvars]):
+            raise _overflow("product")
         return MultiPoly._reduced(
             self.nvars, {e: c for e, c in out.items() if c}, self._den * other._den
         )
@@ -257,9 +307,9 @@ class MultiPoly:
                 f"point has length {len(values)}, expected {self.nvars}"
             )
         total = 0
-        for exps, coeff in self._num.items():
+        for key, coeff in self._num.items():
             term = coeff
-            for e, v in zip(exps, values):
+            for e, v in zip(_unpack(key, self.nvars), values):
                 if e:
                     term *= v**e
             total += term
@@ -269,10 +319,11 @@ class MultiPoly:
         """Set x_{k+1} = ... = x_s = 1 and return the result in k variables."""
         if not 1 <= k <= self.nvars:
             raise ValueError(f"k={k} out of range 1..{self.nvars}")
-        out: dict[Exponents, int] = {}
+        shift = FIELD_BITS * (self.nvars - k)  # drops the trailing fields
+        out: dict[int, int] = {}
         get = out.get
-        for exps, coeff in self._num.items():
-            key = exps[:k]
+        for e, coeff in self._num.items():
+            key = e >> shift
             out[key] = get(key, 0) + coeff
         return MultiPoly._reduced(k, {e: c for e, c in out.items() if c}, self._den)
 
@@ -281,9 +332,9 @@ class MultiPoly:
         if nvars < self.nvars:
             raise ValueError("extend target must have at least as many variables")
         _check_nvars(nvars)
-        pad = (0,) * (nvars - self.nvars)
+        shift = FIELD_BITS * (nvars - self.nvars)
         return MultiPoly._from_trusted(
-            nvars, {e + pad: c for e, c in self._num.items()}, self._den
+            nvars, {e << shift: c for e, c in self._num.items()}, self._den
         )
 
     def divide_all_vars(self) -> "MultiPoly":
@@ -292,22 +343,25 @@ class MultiPoly:
         Raises NotDivisible if any term misses a variable, so the exception
         doubles as a divisibility test.
         """
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._num.items():
-            if 0 in exps:
-                raise NotDivisible(
-                    f"term with exponents {exps} is not divisible by all variables"
-                )
-            out[tuple([e - 1 for e in exps])] = coeff
+        ones, guard = _ONES[self.nvars], _GUARDS[self.nvars]
+        # A zero field borrows: its key goes negative or sets a guard bit.
+        out = {e - ones: c for e, c in self._num.items()}
+        if _spills(out, guard):
+            exps = next(
+                _unpack(e, self.nvars) for e in self._num if _spills((e - ones,), guard)
+            )
+            raise NotDivisible(
+                f"term with exponents {exps} is not divisible by all variables"
+            )
         return MultiPoly._from_trusted(self.nvars, out, self._den)
 
     def times_all_vars(self) -> "MultiPoly":
         """Multiply by x1*...*xs: every exponent goes up by one."""
-        return MultiPoly._from_trusted(
-            self.nvars,
-            {tuple([e + 1 for e in exps]): c for exps, c in self._num.items()},
-            self._den,
-        )
+        ones = _ONES[self.nvars]
+        out = {e + ones: c for e, c in self._num.items()}
+        if _spills(out, _GUARDS[self.nvars]):
+            raise _overflow("times_all_vars")
+        return MultiPoly._from_trusted(self.nvars, out, self._den)
 
     def is_symmetric(self) -> bool:
         """Invariance under an adjacent swap and the full cycle.
@@ -319,8 +373,12 @@ class MultiPoly:
         if self.nvars == 1:
             return True
         get = self._num.get
+        top = FIELD_BITS * (self.nvars - 1)  # the shift of the x1 field
+        second = top - FIELD_BITS
+        swap = (1 << top) - (1 << second)  # adding d * swap moves d from x2 to x1
         return all(
-            get((e[1], e[0]) + e[2:]) == c and get(e[-1:] + e[:-1]) == c
+            get(e + ((e >> second & _MASK) - (e >> top)) * swap) == c
+            and get(e >> FIELD_BITS | (e & _MASK) << top) == c
             for e, c in self._num.items()
         )
 
@@ -333,11 +391,10 @@ class MultiPoly:
         variable count shows; the zero polynomial prints as a single term with
         coefficient 0.  Witnesses carry this text.
         """
-        items = sorted(self._num.items(), key=lambda kv: kv[0], reverse=True)
-        if not items:
-            items = [((0,) * self.nvars, 0)]
+        items = sorted(self._num.items(), reverse=True) or [(0, 0)]
         parts = []
-        for exps, coeff in items:
+        for key, coeff in items:
+            exps = _unpack(key, self.nvars)
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps))
             parts.append(f"{Fraction(coeff, self._den)} * {mono}")
         return " + ".join(parts)

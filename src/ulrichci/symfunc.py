@@ -23,10 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .exact_arith import binom_int
-from .polyring import MultiPoly, _check_nvars, _exact
+from .polyring import MAX_EXP, MultiPoly, _check_nvars, _exact, _pack, _shifts
 from .report import CheckResult, FrozenRecord, check, compare
 
 #: Basis partitions in expansion order (a1..a12).
@@ -76,22 +77,23 @@ def monomial_sym(lam, s: int) -> MultiPoly:
     _check_nvars(s)
     parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
     Partition(parts)  # validates shape
+    if parts and parts[0] > MAX_EXP:
+        raise ValueError(f"partition part {parts[0]} is above MAX_EXP={MAX_EXP}")
     return _monomial_sym(parts, s)
 
 
 @lru_cache(maxsize=None)
 def _monomial_sym(parts: tuple[int, ...], s: int) -> MultiPoly:
-    # A term is a support of len(parts) positions, in increasing order,
-    # filled with one distinct ordering of the parts.
+    # A term is a support of len(parts) variables, in increasing order,
+    # filled with one distinct ordering of the parts; each part goes into
+    # the key at its variable's shift.
     orderings = dict.fromkeys(permutations(parts))
-    terms = {}
-    for support in combinations(range(s), len(parts)):
-        for order in orderings:
-            exps = [0] * s
-            for i, e in zip(support, order):
-                exps[i] = e
-            terms[tuple(exps)] = 1
-    return MultiPoly._from_trusted(s, terms, 1)
+    keys = (
+        sum(map(lshift, order, support))
+        for support in combinations(_shifts(s), len(parts))
+        for order in orderings
+    )
+    return MultiPoly._from_trusted(s, dict.fromkeys(keys, 1), 1)
 
 
 class SymExpansion(FrozenRecord):
@@ -109,7 +111,7 @@ class SymExpansion(FrozenRecord):
         if len(coeffs) != 12:
             raise ValueError(f"expected 12 coefficients, got {len(coeffs)}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in coeffs))
 
     def reconstruct(self) -> MultiPoly:
         return from_basis(self.coeffs, self.s)
@@ -126,14 +128,18 @@ def from_basis(coeffs: Sequence, s: int) -> MultiPoly:
     if len(coeffs) != 12:
         raise ValueError(f"expected 12 coefficients, got {len(coeffs)}")
     coeffs = [_exact(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return _from_numerators([c.numerator * (den // c.denominator) for c in coeffs], den, s)
+
+
+def _from_numerators(nums: Sequence[int], den: int, s: int) -> MultiPoly:
+    """from_basis for the coefficients nums[i] / den, with den > 0."""
     # The basis elements have disjoint supports, so each coefficient
     # fills its own orbit of terms over the common denominator.
-    den = lcm(*(c.denominator for c in coeffs))
-    num: dict[tuple[int, ...], int] = {}
-    for coeff, lam in zip(coeffs, BASIS):
-        if coeff:
-            orbit = _monomial_sym(lam, s)._num
-            num.update(dict.fromkeys(orbit, coeff.numerator * (den // coeff.denominator)))
+    num: dict[int, int] = {}
+    for n, lam in zip(nums, BASIS):
+        if n:
+            num.update(dict.fromkeys(_monomial_sym(lam, s)._num, n))
     return MultiPoly._reduced(s, num, den)
 
 
@@ -167,7 +173,14 @@ def expand_direct(G: MultiPoly) -> SymExpansion:
     s = G.nvars
     if s < 4:
         raise ValueError(f"expansion needs s >= 4 variables, got {s}")
-    return _in_span(G, [G.coefficient(lam + (0,) * (s - len(lam))) for lam in BASIS])
+    get, den = G._num.get, G._den
+    return _in_span(G, [Fraction(get(key, 0), den) for key in _leading_keys(s)])
+
+
+@lru_cache(maxsize=None)
+def _leading_keys(s: int) -> tuple[int, ...]:
+    """The packed keys of the leading monomials x1^4, x1^3*x2, ..., 1 in s >= 4 variables."""
+    return tuple(_pack(lam + (0,) * (s - len(lam))) for lam in BASIS)
 
 
 def restriction_coefficients(
@@ -178,7 +191,8 @@ def restriction_coefficients(
     Given G = sum a_i basis_i(s), the restriction G(x1..x4, 1, ..., 1) equals
     sum b_i basis_i(4) with the b_i returned here.  The map is triangular:
     degree-4 coefficients pass through unchanged and each lower layer picks up
-    binomial-weighted contributions from higher ones.
+    binomial-weighted contributions from higher ones.  The coefficients are
+    ints or Fractions; a float raises TypeError.
     """
     if s < 4:
         raise ValueError(f"restriction map needs s >= 4, got {s}")
@@ -190,12 +204,16 @@ def _restriction_map(coeffs: Sequence[Fraction], t: int) -> tuple[Fraction, ...]
 
     R(t) R(u) = R(t + u) for all integers t and u, so R(-t) inverts R(t).
     """
-    a = [Fraction(c) for c in coeffs]
+    a = [_exact(c) for c in coeffs]
     if len(a) != 12:
         raise ValueError(f"expected 12 coefficients, got {len(a)}")
     c2, c3, c4 = (binom_int(t, k) for k in (2, 3, 4))
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
-    return (
+    # The map has integer entries, so it runs on numerators over one denominator.
+    den = lcm(*(c.denominator for c in a))
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = (
+        c.numerator * (den // c.denominator) for c in a
+    )
+    image = (
         a1,
         a2,
         a3,
@@ -213,6 +231,7 @@ def _restriction_map(coeffs: Sequence[Fraction], t: int) -> tuple[Fraction, ...]
         + c3 * (3 * a4 + a8)
         + c4 * a5,
     )
+    return tuple(Fraction(n, den) for n in image)
 
 
 def expand_via_restriction(G: MultiPoly) -> SymExpansion:

@@ -33,9 +33,9 @@ from itertools import combinations_with_replacement
 from math import comb, prod
 
 from .exact_arith import binom_poly
-from .polyring import MultiPoly, NotDivisible
+from .polyring import MultiPoly, NotDivisible, _unpack
 from .report import CheckResult, Record, check, compare
-from .symfunc import expand_direct, from_basis, monomial_sym
+from .symfunc import _from_numerators, expand_direct, from_basis, monomial_sym
 
 SUPPORTED_PAIRS = ((2, 0), (3, 0), (3, 1))
 
@@ -144,11 +144,12 @@ def _in_basis(i: int, j: int, k: int) -> tuple[int, ...]:
 def _specialise(form: MultiPoly, s: int) -> MultiPoly:
     """form in s variables: s becomes the integer and p_k = x1^k + ... + xs^k."""
     totals = [0] * 12
-    for (a, *powers), c in form._num.items():
+    for key, c in form._num.items():
+        a, *powers = _unpack(key, 4)
         lifted = c * s**a
         for n, t in enumerate(_in_basis(*powers)):
             totals[n] += lifted * t
-    return from_basis([Fraction(n, form._den) for n in totals], s)
+    return _from_numerators(totals, form._den, s)
 
 
 @lru_cache(maxsize=None)
@@ -393,12 +394,16 @@ def verify_tf0(s: int, r: int, m: int) -> list[CheckResult]:
     """Symmetry of f_{s,r,m} and its restriction compatibility.
 
     Restriction means f in s variables with the trailing s-k variables set to
-    1 reproduces f in k variables, for every 1 <= k < s.
+    1 reproduces f in k variables, for every 1 <= k < s.  Substituting ones
+    composes, so each f|_k is taken from f|_{k+1}.
     """
     f = build_f(s, r, m)
+    restricted = {s: f}
+    for k in range(s - 1, 0, -1):
+        restricted[k] = restricted[k + 1].substitute_ones(k)
     results = [check("tf0(1)", {"s": s, "r": r, "m": m}, f.is_symmetric())]
     for k in range(1, s):
-        ok = f.substitute_ones(k) == build_f(k, r, m)
+        ok = restricted[k] == build_f(k, r, m)
         results.append(check("tf0(2)", {"s": s, "k": k, "r": r, "m": m}, ok))
     return results
 

@@ -846,6 +846,11 @@ REPORT_DIGESTS = {
         ["--s", "5..8", "--seed", "1"],
         "24abc471f8dd3cf9f42ddf98522bf23b6e696055abbaaff47513c483bc0e8826",
     ),
+    # The widest packed keys: twelve exponent fields.
+    "s11-12": (
+        ["--s", "11..12"],
+        "5f4a75ecbddba7e77560b818dc368f27f7363720d52228d16f7208f1b067d7bc",
+    ),
 }
 
 

@@ -1,15 +1,28 @@
 """Tests for the sparse exact polynomial ring."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import factorial, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrichci.polyring import DimensionMismatch, MultiPoly, NotDivisible
+from ulrichci.polyring import (
+    FIELD_BITS,
+    MAX_EXP,
+    MAX_VARS,
+    DimensionMismatch,
+    MultiPoly,
+    NotDivisible,
+)
 from ulrichci.symfunc import monomial_sym
 
 
@@ -102,6 +115,187 @@ def test_matches_fraction_dict_reference(a, b, k):
     )
 
 
+# -- packed keys across every ring size ------------------------------------------
+
+# Exponents near 0 and near the cap, so sums and shifts reach both ends of a field.
+wide_exponents = st.integers(0, 3) | st.integers(MAX_EXP - 2, MAX_EXP)
+ref_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+def wide_terms(nvars):
+    return st.dictionaries(
+        st.tuples(*[wide_exponents] * nvars), ref_coefficients, max_size=4
+    )
+
+
+@st.composite
+def wide_polys(draw):
+    """(nvars, reference terms) for 1 <= nvars <= MAX_VARS."""
+    nvars = draw(st.integers(1, MAX_VARS))
+    return nvars, draw(wide_terms(nvars))
+
+
+@st.composite
+def wide_pairs(draw):
+    nvars = draw(st.integers(1, MAX_VARS))
+    return nvars, draw(wide_terms(nvars)), draw(wide_terms(nvars))
+
+
+def ref_is_symmetric(terms, nvars):
+    """Each exponent multiset carries one coefficient on its whole orbit."""
+    orbits = {}
+    for exps, c in terms.items():
+        orbits.setdefault(tuple(sorted(exps)), []).append(c)
+    return all(
+        len(cs) == factorial(nvars) // prod(map(factorial, Counter(key).values()))
+        and len(set(cs)) == 1
+        for key, cs in orbits.items()
+    )
+
+
+@given(wide_pairs(), st.data())
+@settings(max_examples=150)
+def test_packed_keys_match_tuple_reference(case, data):
+    nvars, a, b = case
+    p, q = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    assert_models(p, a)
+    assert_models(p - q, ref_combine(a, b, -1))
+    if any(x + y > MAX_EXP for e1 in a for e2 in b for x, y in zip(e1, e2)):
+        with pytest.raises(ValueError, match=f"above MAX_EXP={MAX_EXP}"):
+            p * q
+    else:
+        assert_models(p * q, ref_mul(a, b))
+    k = data.draw(st.integers(1, nvars))
+    restricted = {}
+    for e, c in a.items():
+        restricted[e[:k]] = restricted.get(e[:k], 0) + c
+    assert_models(p.substitute_ones(k), {e: c for e, c in restricted.items() if c})
+    wider = data.draw(st.integers(nvars, MAX_VARS))
+    assert_models(p.extend(wider), {e + (0,) * (wider - nvars): c for e, c in a.items()})
+    if any(MAX_EXP in e for e in a):
+        with pytest.raises(ValueError, match=f"above MAX_EXP={MAX_EXP}"):
+            p.times_all_vars()
+    else:
+        assert_models(p.times_all_vars(), {tuple(x + 1 for x in e): c for e, c in a.items()})
+    # p keeps a's term order, so the first term that misses a variable is a's.
+    missing = next((e for e in a if 0 in e), None)
+    if missing is None:
+        assert_models(p.divide_all_vars(), {tuple(x - 1 for x in e): c for e, c in a.items()})
+    else:
+        with pytest.raises(NotDivisible) as info:
+            p.divide_all_vars()
+        assert str(info.value) == f"term with exponents {missing} is not divisible by all variables"
+    assert p.is_symmetric() == ref_is_symmetric(a, nvars)
+
+
+@given(wide_polys(), st.data())
+@settings(max_examples=80)
+def test_terms_coefficient_and_pickle_round_trip(case, data):
+    nvars, a = case
+    p = MultiPoly(nvars, a)
+    assert MultiPoly(nvars, dict(p.terms())) == p
+    assert all(p.coefficient(e) == c for e, c in a.items())
+    probe = data.draw(st.tuples(*[wide_exponents] * nvars))
+    assert p.coefficient(probe) == a.get(probe, 0)
+    # Out of range reads 0: 2**FIELD_BITS must not alias a carry into the next field.
+    i = data.draw(st.integers(0, nvars - 1))
+    for bad in (-1, MAX_EXP + 1, 1 << FIELD_BITS):
+        assert p.coefficient(probe[:i] + (bad,) + probe[i + 1 :]) == 0
+    for duplicate in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+        twin = duplicate(p)
+        assert twin == p and twin.nvars == nvars
+        assert_models(twin, a)
+
+
+@given(wide_polys(), st.data())
+@settings(max_examples=80)
+def test_substitute_ones_composes(case, data):
+    # verify_tf0 takes each restriction from the next larger one.
+    nvars, a = case
+    p = MultiPoly(nvars, a)
+    k = data.draw(st.integers(1, nvars))
+    j = data.draw(st.integers(1, k))
+    assert p.substitute_ones(k).substitute_ones(j) == p.substitute_ones(j)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 12])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_is_symmetric_matches_orbit_reference(nvars, data):
+    a = data.draw(wide_terms(nvars))
+    assert MultiPoly(nvars, a).is_symmetric() == ref_is_symmetric(a, nvars)
+    # One orbit of (hi,)*size + (lo,)*(nvars - size) is symmetric; changing
+    # or dropping one of its terms breaks that when the orbit is not a point.
+    size = data.draw(st.integers(0, nvars))
+    lo, hi = data.draw(wide_exponents), data.draw(wide_exponents)
+    orbit = sorted(
+        {tuple(hi if i in support else lo for i in range(nvars)) for support in combinations(range(nvars), size)}
+    )
+    c = data.draw(ref_coefficients)
+    symmetric = dict.fromkeys(orbit, c)
+    assert MultiPoly(nvars, symmetric).is_symmetric()
+    if len(orbit) > 1:
+        e = data.draw(st.sampled_from(orbit))
+        assert not MultiPoly(nvars, {**symmetric, e: 2 * c}).is_symmetric()
+        assert not MultiPoly(nvars, {f: c for f in orbit if f != e}).is_symmetric()
+    # A sum over the rotations of one term is cyclic, and symmetric only when
+    # the rotations are the whole orbit: the swap test must see the rest.
+    e = data.draw(st.tuples(*[wide_exponents] * nvars))
+    cyclic = dict.fromkeys({e[i:] + e[:i] for i in range(nvars)}, c)
+    assert MultiPoly(nvars, cyclic).is_symmetric() == ref_is_symmetric(cyclic, nvars)
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        lambda: MultiPoly(2, {(MAX_EXP + 1, 0): 1}),
+        lambda: MultiPoly(12, {(0,) * 11 + (1 << FIELD_BITS,): 1}),
+        lambda: MultiPoly(2, {(MAX_EXP, 0): 1}) * x(0),
+        lambda: MultiPoly(12, {(3,) * 11 + (MAX_EXP,): 1}).times_all_vars(),
+    ],
+    ids=["init", "init-next-field", "mul", "times_all_vars"],
+)
+def test_exponent_cap_raises(enter):
+    with pytest.raises(ValueError, match=f"above MAX_EXP={MAX_EXP}"):
+        enter()
+
+
+def test_exponent_cap_raises_under_python_O():
+    # python -O strips assert statements; the cap must be an explicit raise.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            "-p",
+            "no:hypothesispytest",
+            f"{__file__}::test_exponent_cap_raises",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
+
+
+def test_exponent_cap_is_reachable():
+    top = MultiPoly(12, {(MAX_EXP,) * 12: 1})
+    assert top.coefficient((MAX_EXP,) * 12) == 1 and top.degree() == 12 * MAX_EXP
+    below = MultiPoly(12, {(MAX_EXP - 1,) * 12: 1})
+    assert below.times_all_vars() == top == below * MultiPoly(12, {(1,) * 12: 1})
+    assert top.divide_all_vars() == below
+    assert top.to_string() == "1 * " + "*".join(f"x{i}^{MAX_EXP}" for i in range(1, 13))
+
+
 @given(polys)
 @settings(max_examples=40)
 def test_canonical_form(p):
@@ -152,8 +346,10 @@ def test_max_vars_enforced():
         lambda: x(0).eval([0.1, 1]),
         lambda: MultiPoly.const(2, 0.5),
         lambda: x(0) / 0.5,
+        lambda: MultiPoly(2, {(1.0, 0): 1}),
+        lambda: x(0).coefficient((1.0, 0)),
     ],
-    ids=["init", "scale", "eval", "const", "truediv"],
+    ids=["init", "scale", "eval", "const", "truediv", "exponent", "coefficient-exponent"],
 )
 def test_float_rejected(enter):
     # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
@@ -290,6 +486,14 @@ def test_coefficient_lookup():
     assert p.coefficient((1, 1)) == 0
 
 
+def test_coefficient_out_of_range_reads_zero():
+    p = MultiPoly(3, {(0, 1, 0): 5, (0, 0, MAX_EXP): 1})
+    # 2**FIELD_BITS in x3 would carry into the field of x2.
+    assert p.coefficient((0, 0, 1 << FIELD_BITS)) == 0
+    assert p.coefficient((0, 0, MAX_EXP + 1)) == 0 and p.coefficient((0, 1, -1)) == 0
+    assert p.coefficient((0, 0, MAX_EXP)) == 1 and p.coefficient((0, 1, 0)) == 5
+
+
 def test_coefficient_length_checked():
     with pytest.raises(DimensionMismatch):
         x(0).coefficient((1, 0, 0))
@@ -302,6 +506,8 @@ def test_is_symmetric():
     assert (x(0) + x(1)).is_symmetric()
     assert not (x(0) - x(1)).is_symmetric()
     assert MultiPoly.const(1, 5).is_symmetric()
+    # Invariant under the cycle, not under the swap of x1 and x2.
+    assert not MultiPoly(3, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}).is_symmetric()
 
 
 def test_extend():

@@ -10,7 +10,7 @@ from math import comb, factorial, perm, prod
 import pytest
 
 from ulrichci import symfunc
-from ulrichci.polyring import MultiPoly
+from ulrichci.polyring import MAX_EXP, MultiPoly
 from ulrichci.symfunc import (
     BASIS,
     NotSymmetric,
@@ -236,6 +236,29 @@ def test_from_basis_edge_cases():
         from_basis((0.5,) + (0,) * 11, 4)
     with pytest.raises(ValueError, match="expected 12 coefficients, got 11"):
         from_basis((1,) * 11, 4)
+
+
+def test_sym_expansion_rejects_float():
+    # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="inexact float 0.1"):
+        SymExpansion(5, [0.1] + [0] * 11)
+
+
+def test_restriction_coefficients_reject_float():
+    with pytest.raises(TypeError, match="inexact float 0.5"):
+        restriction_coefficients([1] * 11 + [0.5], 6)
+
+
+def test_exact_coefficients_pass_through_unchanged():
+    half = Fraction(1, 2)
+    assert SymExpansion(4, [half] * 12).coeffs[0] is half
+    assert restriction_coefficients([half] * 12, 4) == (half,) * 12
+
+
+def test_monomial_sym_enforces_the_exponent_cap():
+    assert monomial_sym((MAX_EXP,), 2).coefficient((0, MAX_EXP)) == 1
+    with pytest.raises(ValueError, match=f"above MAX_EXP={MAX_EXP}"):
+        monomial_sym((MAX_EXP + 1, 1), 2)
 
 
 # -- restriction expansion -------------------------------------------------------------
