@@ -140,12 +140,16 @@ def _write_output(path: str, payload: str) -> None:
 def _emit(doc: dict, render, args) -> None:
     """Print DOC as JSON, or the text render() returns; --output writes it instead.
 
+    The JSON is report.to_json's, the bytes of json.dumps(doc, indent=2);
     render is called only for --format text.  Once the reader closes stdout,
     the rest goes to os.devnull, where the flush at exit cannot fail.
     """
-    import json
+    if args.format == "json":
+        from .report import to_json
 
-    payload = json.dumps(doc, indent=2) if args.format == "json" else render()
+        payload = to_json(doc)
+    else:
+        payload = render()
     if not args.output:
         try:
             print(payload, flush=True)

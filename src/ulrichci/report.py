@@ -1,4 +1,5 @@
-"""Structured pass/fail records shared by the verifiers and the CLI."""
+"""Structured pass/fail records shared by the verifiers and the CLI, and
+to_json, the writer of the JSON documents the CLI prints."""
 
 from __future__ import annotations
 
@@ -104,3 +105,87 @@ def all_ok(results: list[CheckResult]) -> bool:
 def summarize(results: list[CheckResult]) -> dict:
     passed = sum(1 for r in results if r.ok)
     return {"total": len(results), "passed": passed, "failed": len(results) - passed}
+
+
+def to_json(doc) -> str:
+    """DOC as the text json.dumps(doc, indent=2) gives, byte for byte.
+
+    CPython writes an indented document with its pure-Python encoder, a
+    generator per container and a yield per token; this appends the pieces
+    to one list and joins it once.  Dicts, lists and tuples are written
+    with "," and ": " separators and two spaces of indent per level,
+    strings through json's C escaper, ints by int.__repr__ (so main's
+    lifted digit limit covers them), and bool and None as true, false and
+    null, tested in json's order, so subclasses of str and int come out as
+    json writes them.  A float raises TypeError, since a report holds exact
+    values only, and so does every type json would refuse, or a key it
+    would not coerce.
+    """
+    from json.encoder import encode_basestring_ascii  # text output loads no json
+
+    parts: list[str] = []
+    _write(doc, "\n", encode_basestring_ascii, parts.append)
+    return "".join(parts)
+
+
+def _write(value, newline: str, quote, out) -> None:
+    """Pass VALUE's text to OUT in pieces; NEWLINE is its line break and indent."""
+    cls = value.__class__
+    # Exact strs and ints, most of a document, skip json's chain below.
+    if cls is str:
+        out(quote(value))
+    elif cls is int:
+        out(int.__repr__(value))
+    elif isinstance(value, str):
+        out(quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; a report holds exact values only")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, quote, out)
+            sep = comma
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            out(sep)
+            out(quote(key) if isinstance(key, str) else _key(key, quote))
+            out(": ")
+            _write(item, inner, quote, out)
+            sep = comma
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _key(key, quote) -> str:
+    """A dict key that is not a str, coerced to a JSON string as json does."""
+    if isinstance(key, float):
+        raise TypeError(f"inexact float key {key!r}; a report holds exact values only")
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

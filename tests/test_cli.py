@@ -498,6 +498,25 @@ def test_scan_report_digest(capsys, name, workers):
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
 
+#: sha256 of the raw scan --format json --workers 1 stdout of each grid of
+#: SCAN_DIGESTS, taken when json.dumps(doc, indent=2) wrote it: these pin the
+#: emitted bytes, indent and newlines included.
+SCAN_STDOUT_DIGESTS = {
+    "bench": "db17a0882c0ca05976b480019447f7e79217ecef15783458b23884e7202056c6",
+    "capped": "94584be3046273e7fbaca22dee0e5651ed66d4fe484cae8626ffab053d9a0ea8",
+    "listed": "2f50e93e1422ccbe781b4fa501bceb02f1d73b7e631eb11af2cf0d09d05d3472",
+    "ties": "273e797f22690e6a1340c29492f091559124e7e6caf50f9b9c6f3a4d515a7e9c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_STDOUT_DIGESTS))
+def test_scan_stdout_digest(capsys, name):
+    argv, _ = SCAN_DIGESTS[name]
+    code, out = run(capsys, "scan", *argv, "--workers", "1", "--format", "json")
+    assert code == {"pass": 0, "fail": 1}[json.loads(out)["status"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_DIGESTS[name]
+
+
 # -- output handling ------------------------------------------------------------------
 
 
@@ -521,6 +540,39 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["verdict"] == "NON_EXISTENCE"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "tf2bis", "--s", "5..6"],
+        ["verify", "--suite", "cg", "--s-max", "3", "--d-max", "3"],
+        ["certify", "--n", "4", "--degrees", "3,2", "--r", "2"],
+        ["certify", "--n", "5", "--degrees", "2", "--r", "1"],
+        ["invariants", "--n", "5", "--degrees", "4,3,2", "--r", "3", "--m=-3..3"],
+        ["scan", "--s-max", "4", "--d-max", "5", "--b=-3,5", "--list-tuples"],
+    ],
+    ids=["verify", "verify-cg", "certify", "certify-rank1", "invariants", "scan"],
+)
+def test_json_output_is_json_dumps_indent_2(tmp_path, monkeypatch, capsys, argv):
+    # json.dumps(doc, indent=2) is the oracle of the emitted bytes, on stdout
+    # and in an --output file, for the document each command hands to _emit.
+    docs = []
+    emit = cli._emit
+
+    def recording(doc, render, args):
+        docs.append(doc)
+        emit(doc, render, args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out = run(capsys, *argv, "--format", "json")
+    path = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    first, second = docs
+    assert first == second
+    assert out == json.dumps(first, indent=2) + "\n"
+    assert path.read_text() == out
 
 
 class _HalfWriter:

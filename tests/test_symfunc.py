@@ -344,6 +344,45 @@ def test_restriction_path_runs_at_s_equal_four(monkeypatch, random_expansion):
         expand_via_restriction(x1 + x2 + x3 + x1 * x1 * x1 * x1 * x1)
 
 
+def test_restriction_errors_are_decided_on_the_input(monkeypatch):
+    # G's own degree and symmetry name the error, although its restriction
+    # may be expandable (x5^5 -> 1) or fail otherwise (x1 + x5^6 -> x1 + 1).
+    x1, x2, x3, x4, x5 = MultiPoly.gens(5)
+    m1 = monomial_sym((1,), 5)
+    cases = [
+        (x5 * x5 * x5 * x5 * x5, ValueError, "polynomial has degree 5 > 4"),
+        (x1 + x5 * x5 * x5 * x5 * x5 * x5, ValueError, "polynomial has degree 6 > 4"),
+        (m1 + x5, NotSymmetric, "polynomial is not symmetric"),
+        (m1 * m1 * m1 * m1 * m1, ValueError, "polynomial has degree 5 > 4"),
+    ]
+    for G, error, message in cases:
+        for expand in (expand_direct, expand_via_restriction):
+            with pytest.raises(error) as raised:
+                expand(G)
+            assert str(raised.value) == message
+    # An expandable input is never put through the degree and symmetry pass.
+    calls = []
+    monkeypatch.setattr(symfunc, "_require_expandable", calls.append)
+    G = monomial_sym((2, 1, 1), 6) - monomial_sym((1,), 6)
+    assert expand_via_restriction(G).coeffs == expand_direct(G).coeffs
+    assert calls == []
+
+
+def test_tf2bis_fails_rel_reconstruction_on_a_wrong_restriction_map(monkeypatch):
+    # A map that is wrong only for t > 0 predicts wrong restrictions, while
+    # the inverse map R(4 - s) of expand_via_restriction stays right.
+    restriction_map = symfunc._restriction_map
+
+    def wrong_for_positive_t(coeffs, t):
+        image = restriction_map(coeffs, t)
+        return image[:-1] + (image[-1] + 1,) if t > 0 else image
+
+    monkeypatch.setattr(symfunc, "_restriction_map", wrong_for_positive_t)
+    rel, agree = verify_tf2bis(6)[-2:]
+    assert not rel.ok and rel.witness == {"partition": [4]}
+    assert agree.ok
+
+
 # -- product identity table --------------------------------------------------------------
 
 
