@@ -4,6 +4,10 @@ Exit codes: 0 success (all identities pass / a certificate is issued), 1 a
 check failed, 2 invalid usage.  Structured output is a single JSON document
 per invocation with a schema version field; worker counts affect wall time
 only, never any reported value or ordering.
+
+A command line made only of its command's exact options, each once and
+with values that parse, is read by a strict reader without argparse; every
+other line, help and usage errors included, goes to argparse.
 """
 
 from __future__ import annotations
@@ -417,8 +421,12 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each command's parser by command name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The top-level parser, each command's parser and each command's options.
+
+    A command's options map each option string to the Action add_argument
+    returned for it; _read_strict reads them.
+    """
     parser = argparse.ArgumentParser(
         prog="ulrichci",
         description="Exact verification of the symmetric-function identities and "
@@ -429,39 +437,47 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
+    shared = (
+        common.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        ),
+        common.add_argument("--output", help="write output to this path instead of stdout"),
     )
-    common.add_argument("--output", help="write output to this path instead of stdout")
     query = argparse.ArgumentParser(add_help=False)
-    query.add_argument("--n", type=int, required=True)
-    query.add_argument(
-        "--degrees", type=_parse_int_list, required=True, help='comma separated, e.g. "2,3"'
+    asked = shared + (
+        query.add_argument("--n", type=int, required=True),
+        query.add_argument(
+            "--degrees", type=_parse_int_list, required=True, help='comma separated, e.g. "2,3"'
+        ),
+        query.add_argument("--r", type=int, required=True),
     )
-    query.add_argument("--r", type=int, required=True)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run identity verification suites"
     )
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument(
-        "--s", type=_parse_range, default=None, help='s range, e.g. "4..8" or "5"'
+    verify = shared + (
+        p_verify.add_argument("--suite", choices=SUITES, default="all"),
+        p_verify.add_argument(
+            "--s", type=_parse_range, default=None, help='s range, e.g. "4..8" or "5"'
+        ),
+        p_verify.add_argument("--s-max", type=int, default=6, help="scan: largest s"),
+        p_verify.add_argument("--d-max", type=int, default=6, help="scan: largest degree"),
+        p_verify.add_argument(
+            "--seed",
+            type=int,
+            help="accepted and ignored: every check is exact and samples nothing",
+        ),
+        p_verify.add_argument("--workers", type=_positive_int, default=1),
     )
-    p_verify.add_argument("--s-max", type=int, default=6, help="scan: largest s")
-    p_verify.add_argument("--d-max", type=int, default=6, help="scan: largest degree")
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        help="accepted and ignored: every check is exact and samples nothing",
-    )
-    p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_inv = sub.add_parser(
         "invariants", parents=[common, query], help="print invariant and Euler tables"
     )
-    p_inv.add_argument(
-        "--m", type=_parse_range, default=None, help='twist range, e.g. "0..4"'
+    invariants = asked + (
+        p_inv.add_argument(
+            "--m", type=_parse_range, default=None, help='twist range, e.g. "0..4"'
+        ),
     )
     p_inv.set_defaults(func=_cmd_invariants)
 
@@ -473,36 +489,104 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_scan = sub.add_parser(
         "scan", parents=[common], help="exhaustive positivity scan of q_{s,b}"
     )
-    p_scan.add_argument("--s-max", type=int, required=True)
-    p_scan.add_argument("--d-max", type=int, required=True)
-    p_scan.add_argument("--b", type=_parse_int_list, help='comma separated, e.g. "8,9"')
-    p_scan.add_argument("--workers", type=_positive_int, default=1)
-    p_scan.add_argument(
-        "--list-tuples",
-        action="store_true",
-        help="include per-tuple q values (small scans only)",
+    scan = shared + (
+        p_scan.add_argument("--s-max", type=int, required=True),
+        p_scan.add_argument("--d-max", type=int, required=True),
+        p_scan.add_argument("--b", type=_parse_int_list, help='comma separated, e.g. "8,9"'),
+        p_scan.add_argument("--workers", type=_positive_int, default=1),
+        p_scan.add_argument(
+            "--list-tuples",
+            action="store_true",
+            help="include per-tuple q values (small scans only)",
+        ),
     )
     p_scan.set_defaults(func=_cmd_scan)
-    return parser, sub.choices
+    options = {
+        name: {string: action for action in actions for string in action.option_strings}
+        for name, actions in (
+            ("verify", verify), ("invariants", invariants), ("certify", asked), ("scan", scan)
+        )
+    }
+    return parser, sub.choices, options
 
 
-_PARSER, _COMMANDS = _build_parser()
+_PARSER, _COMMANDS, _OPTIONS = _build_parser()
+
+
+def _read_strict(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace _COMMANDS[command].parse_args(argv) returns, or None.
+
+    Reads only a line of the command's exact option strings, each given at
+    most once: a flag bare, any other option with a value joined by "=" or in
+    the next token that does not start with "-" and passes the option's type
+    and choices, and every required option present.  Any other line is None,
+    left to argparse: help, abbreviations, repeats, negative values and errors.
+    """
+    options = _OPTIONS[command]
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        action = options.get(name)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:  # a store_true flag
+            if joined:
+                return None
+            given[action] = action.const
+            continue
+        if not joined:
+            value = next(tokens, "-")  # a missing value is declined as "-" is
+        if value.startswith("-"):
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    args = argparse.Namespace(func=_COMMANDS[command].get_default("func"))
+    for action in options.values():
+        if action in given:
+            value = given[action]
+        elif action.required:
+            return None
+        else:
+            value = action.default
+            if isinstance(value, str) and action.type:
+                value = action.type(value)
+        setattr(args, action.dest, value)
+    return args
 
 
 def main(argv=None) -> int:
-    # Exact values may have more digits than str(int) allows by default.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    """Run one command line and return its exit code.
+
+    _read_strict reads a well-formed line without argparse.  Every other
+    line goes to the command's argparse parser, so help, usage errors and
+    their exit codes are argparse's own; the top-level parser sees only
+    --version, --help and a missing or unknown command.  Exact values may
+    have more digits than str(int) allows by default, so the digit limit is
+    lifted while main runs and the caller's limit is restored after.
+    """
     argv = _glue_signed_values(sys.argv[1:] if argv is None else list(argv))
-    # A command's own parser reads the rest of the line in one pass; the
-    # top-level parser sees only --version, --help and a missing or unknown command.
     command = _COMMANDS.get(argv[0]) if argv else None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
+        if command is None:
+            args = _PARSER.parse_args(argv)
+        else:
+            args = _read_strict(argv[0], argv[1:]) or command.parse_args(argv[1:])
         return args.func(args)
     except ValueError as exc:  # ParityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -341,7 +341,8 @@ def verify_tf2bis(s: int) -> list[CheckResult]:
     see every basis element and keep the partition of their first
     counterexample.  The predicted restriction coefficients must rebuild
     the restriction of m_lambda(s) itself, which is unique in four
-    variables, so only the agreement record expands the restriction.
+    variables, so only the agreement record expands the restriction; an
+    expansion that raises fails that record with the error in its witness.
     """
     if s < 5:
         raise ValueError(f"tf2bis verification needs s >= 5, got {s}")
@@ -354,10 +355,12 @@ def verify_tf2bis(s: int) -> list[CheckResult]:
             from_basis(restriction_coefficients(unit, s), 4) != G.substitute_ones(4)
         ):
             rel_witness = witness
-        if agree_witness is None and not (
-            expand_direct(G).coeffs == unit == expand_via_restriction(G).coeffs
-        ):
-            agree_witness = witness
+        if agree_witness is None:
+            try:
+                if not expand_direct(G).coeffs == unit == expand_via_restriction(G).coeffs:
+                    agree_witness = witness
+            except ValueError as exc:  # NotSymmetric or outside the basis span
+                agree_witness = {**witness, "error": str(exc)}
     params = {"s": s}
     return substitution_identities(s) + [
         check("tf2-bis/rel-reconstruction", params, rel_witness is None, rel_witness),

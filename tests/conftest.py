@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,3 +20,17 @@ def _random_expansion(s: int, rng: random.Random) -> SymExpansion:
 def random_expansion():
     """Random points of the basis span, for linearity cross-checks of the exact suites."""
     return _random_expansion
+
+
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Set the int-to-str digit limit inside the block (0 lifts it, as cli.main does)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -3,8 +3,10 @@
 import argparse
 import builtins
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -12,7 +14,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import digit_limit
 from ulrichci import cli, symfunc, ulrich_functions
 from ulrichci.ci_invariants import CIConfig, chi_OX
 from ulrichci.cli import _scan_checks, main
@@ -245,6 +250,21 @@ def test_verify_table_errors_are_failed_checks(monkeypatch, capsys):
         assert failed[0]["witness"] == {"error": error}
 
 
+def test_verify_tf2bis_expansion_errors_are_failed_checks(monkeypatch, capsys):
+    # A wrong inverse map leaves the restriction outside the basis span: the
+    # agreement record fails with the error, and verify exits 1, not 2.
+    restriction_map = symfunc._restriction_map
+    monkeypatch.setattr(symfunc, "_restriction_map", lambda c, t: restriction_map(c, t + 1))
+    code, doc = run_json(capsys, "verify", "--suite", "tf2bis", "--s", "5..5")
+    assert code == 1
+    assert doc["results"][-1] == {
+        "lemma": "tf2-bis/expansion-agreement",
+        "parameters": {"s": 5},
+        "status": "fail",
+        "witness": {"partition": [4], "error": "polynomial is outside the basis span"},
+    }
+
+
 def test_verify_text_summary(capsys):
     code, out = run(capsys, "verify", "--suite", "tf2", "--s", "4")
     assert code == 0
@@ -303,17 +323,36 @@ def test_invariants_twist_range_is_bounded(monkeypatch, capsys):
 
 
 def test_invariants_prints_values_beyond_the_str_digit_limit(capsys):
-    # chi_OX(cfg, 7200) has more digits than str(int) allows by default;
-    # start from that default whatever an earlier main() call set.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(4300)
+    # chi_OX(cfg, 7200) has more digits than str(int) allows by default; main
+    # prints it from that default and restores it, so the test lifts it to read.
     query = ["invariants", "--n", "7200", "--degrees", "3,2", "--r", "2", "--m", "7200..7200"]
     expected = chi_OX(CIConfig(7200, (3, 2), 2), 7200)
-    code, out = run(capsys, *query)
-    assert code == 0 and f" {expected} " in out
-    assert len(str(abs(expected))) > 4300
-    code, doc = run_json(capsys, *query)
-    assert code == 0 and doc["euler_table"][0]["chi_OX"] == expected
+    with digit_limit(4300):
+        code, out = run(capsys, *query)
+        json_code, json_out = run(capsys, *query, "--format", "json")
+    with digit_limit(0):
+        assert code == 0 and f" {expected} " in out
+        assert len(str(abs(expected))) > 4300
+        assert json_code == 0 and json.loads(json_out)["euler_table"][0]["chi_OX"] == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--n", "4", "--degrees", "3,2", "--r", "2"],
+        ["--version"],
+        ["invariants", "--n", "4", "--degrees", "1", "--r", "2"],
+    ],
+    ids=["success", "exit", "error"],
+)
+def test_main_restores_the_digit_limit_of_the_caller(capsys, argv):
+    with digit_limit(5000):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 5000
 
 
 # -- certify ------------------------------------------------------------------------
@@ -778,6 +817,8 @@ def test_top_level_options_and_errors(capsys, argv, code, out, err):
 
 
 def test_command_line_is_parsed_once_by_its_command(monkeypatch, capsys):
+    # A well-formed line is read by the strict reader alone; a line it
+    # declines reaches its command's parser once, and --version the top level.
     parsed = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -788,11 +829,103 @@ def test_command_line_is_parsed_once_by_its_command(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording_parse)
     for command, argv in _COMMAND_LINES.items():
         assert main(argv) == 0
-        assert parsed == [cli._COMMANDS[command]], command
-        parsed.clear()
+        assert parsed == [], command
+    assert main(["invariants", "--n", "4", "--deg", "3,2", "--r", "2"]) == 0
+    assert parsed == [cli._COMMANDS["invariants"]]
+    parsed.clear()
     with pytest.raises(SystemExit):
         main(["--version"])
     assert parsed == [cli._PARSER]
+
+
+#: Values each option type accepts, values no option accepts, and tokens no option has.
+_GOOD_VALUES = {
+    int: ("0", "4", "12", " 7", "1_0"),
+    cli._positive_int: ("1", "2"),
+    cli._parse_int_list: ("3,2", "8,9", "2,,3", ""),
+    cli._parse_range: ("5..8", "4", " 2..3"),
+    None: ("out.json", "a=b", ""),
+}
+_BAD_VALUES = ("-3", "-3,5", "-1..1", "9..5", "x", "3,x", "--", "-", "0..")
+_JUNK = ("-h", "--help", "--", "--bogus", "-x", "x", "=")
+
+
+@st.composite
+def _command_lines(draw, command):
+    """Options with values of their type, some required ones left out, and junk.
+
+    Junk is a prefix of an option, a repeat, a value of the wrong type, a
+    negative value, an unknown option or a stray token.
+    """
+    options = cli._OPTIONS[command]
+    chosen = draw(st.sets(st.sampled_from(sorted(options))))
+    if draw(st.booleans()):
+        chosen |= {name for name, action in options.items() if action.required}
+    pieces = []
+    for name in sorted(chosen):
+        action = options[name]
+        if action.nargs == 0:
+            pieces.append([name])
+            continue
+        value = draw(st.sampled_from(action.choices or _GOOD_VALUES[action.type]))
+        pieces.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    names = st.sampled_from(
+        sorted(options) + [o[:k] for o in options for k in range(3, len(o))] + list(_JUNK)
+    )
+    values = st.sampled_from(_BAD_VALUES + tuple(v for vs in _GOOD_VALUES.values() for v in vs))
+    pieces += draw(st.lists(
+        st.one_of(
+            names.map(lambda name: [name]),
+            st.tuples(names, values).map(list),
+            st.tuples(names, values).map(lambda p: ["=".join(p)]),
+        ),
+        max_size=3,
+    ))
+    return [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_strict_reader_returns_none_or_what_argparse_returns(command, data):
+    argv = data.draw(_command_lines(command))
+    args = cli._read_strict(command, argv)
+    assert args is None or args == cli._COMMANDS[command].parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("verify", ["--s", "4", "--s", "4"]),  # a repeat, which argparse reads as the last
+        ("scan", ["--s-max", "2", "--d-max", "2", "--list-tuples", "--list-tuples"]),
+        ("scan", ["--s-max", "2", "--d-max", "2", "--list-tuples=1"]),  # a flag with a value
+        ("verify", ["--sui", "tf2"]),  # an abbreviation
+        ("verify", ["--seed", "-3"]),  # a separate value starting with "-"
+        ("verify", ["--s"]),
+        ("verify", ["--suite", "nope"]),
+        ("verify", ["--workers", "0"]),
+        ("certify", ["--n", "4", "--degrees", "3,2"]),  # a required option missing
+        ("certify", ["--n", "4", "--degrees", "3,2", "--r", "2", "-h"]),
+        ("scan", ["--s-max", "2", "--d-max", "2", "--", "x"]),
+    ],
+)
+def test_strict_reader_declines_every_other_line(command, argv):
+    assert cli._read_strict(command, argv) is None
+
+
+def test_strict_reader_reads_every_benchmark_command_line():
+    # The benchmark's lines take the fast path, so it is the path measured.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = [argv for _, _, argv in next(workloads.query_passes(1))]
+    for name in ("verify", "scan"):
+        lines += [argv for _, argv in workloads.repetition(name, 1, random.Random(1))]
+    assert {argv[0] for argv in lines} == set(_COMMAND_LINES)
+    for argv in map(cli._glue_signed_values, lines):
+        args = cli._read_strict(argv[0], argv[1:])
+        assert args is not None and args == cli._COMMANDS[argv[0]].parse_args(argv[1:]), argv
 
 
 def test_text_is_rendered_only_for_text_output(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 """Tests for the pass/fail record helpers and the JSON writer."""
 
-import contextlib
 import enum
 import json
 import re
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digit_limit
 from ulrichci.polyring import MultiPoly
 from ulrichci.report import FAIL, PASS, CheckResult, check, compare, to_json
 
@@ -58,20 +58,6 @@ def test_check_result_record_contract():
 
 
 # -- JSON writer: json.dumps(indent=2) is the oracle ---------------------------------
-
-
-@contextlib.contextmanager
-def digit_limit(digits: int):
-    """Set the int-to-str digit limit inside the block (0 lifts it, as cli.main does)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 class Label(str):
